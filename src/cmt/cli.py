@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reroute passes per insert/update (d)")
         p.add_argument("--epsilon", type=float, default=0.1,
                        help="exploration probability during training")
-        p.add_argument("--k", type=int, default=1, help="memories per query")
         p.add_argument("--passes-unsup", type=int, default=1, dest="passes_unsup")
         p.add_argument("--passes-sup", type=int, default=1, dest="passes_sup")
         p.add_argument("--hash-bits", type=int, default=20, dest="hash_bits")
@@ -88,7 +87,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         c=args.leaf_mult,
         d=args.reroutes,
         epsilon=args.epsilon,
-        k=args.k,
         passes_unsup=args.passes_unsup,
         passes_sup=args.passes_sup,
         hash_bits=args.hash_bits,

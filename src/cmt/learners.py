@@ -99,18 +99,6 @@ class RouterModel(LinearModel):
         return self.mistake_count / self.update_count
 
 
-def router_raw(g: RouterModel, x: SparseVector) -> float:
-    return g.raw(x)
-
-
-def router_update(g: RouterModel, x: SparseVector, y: int, importance: float) -> None:
-    g.update(x, y, importance)
-
-
-def progressive_error(g: RouterModel) -> float:
-    return g.progressive_error()
-
-
 def pair_features(x: SparseVector, key: SparseVector) -> SparseVector:
     """Deterministic feature map for scoring a (query, stored key) pair.
 

@@ -13,6 +13,7 @@ import math
 import statistics
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from hashlib import blake2b
 from pathlib import Path
@@ -22,6 +23,7 @@ from .features import (
     DEFAULT_BITS,
     MODE_MULTICLASS,
     MODE_MULTILABEL,
+    MODE_RETRIEVAL,
     ParseError,
     parse_line,
 )
@@ -56,7 +58,6 @@ class RunConfig:
     c: float = 4.0
     d: int = 5
     epsilon: float = 0.1
-    k: int = 1
     passes_unsup: int = 1
     passes_sup: int = 1
     hash_bits: int = DEFAULT_BITS
@@ -112,6 +113,134 @@ class MetricLog:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+class Task:
+    """Everything that differs by mode: the example grammar, the memory an
+    example becomes, one supervised pass, one epsilon=0 evaluation step and
+    the metric rows both produce.
+    """
+
+    # (test metric, ablate column) pairs reported by `cmd_ablate`
+    ablate_columns: tuple[tuple[str, str], ...] = ()
+    label_scorers = None
+
+    def __init__(self, config: RunConfig, label_scorers: Optional[dict] = None):
+        self.config = config
+
+
+class MulticlassTask(Task):
+    ablate_columns = (("accuracy", "test_accuracy"), ("error_percent", "test_error_percent"))
+
+    def example(self, line) -> MulticlassExample:
+        return MulticlassExample(line.right_block, line.label)
+
+    def memory(self, ex: MulticlassExample) -> Memory:
+        return Memory(ex.x, ex.label)
+
+    def train_pass(self, tree: Tree, examples: list) -> list[tuple[int, str, float]]:
+        accuracy, trace = mc_progressive_run(
+            tree, examples, self.config.epsilon, update_on_exploit=self.config.update_on_exploit
+        )
+        rows = []
+        for step, window_acc, cum_acc in trace:
+            rows.append((step, "window_accuracy", window_acc))
+            rows.append((step, "cumulative_accuracy", cum_acc))
+        rows.append((len(examples), "progressive_accuracy", accuracy))
+        return rows
+
+    def eval_step(self, tree: Tree, ex: MulticlassExample) -> int:
+        result = tree.query(ex.x, 1, 0.0)
+        return int(bool(result.memories) and result.memories[0].value == ex.label)
+
+    def summarize(self, hits: list[int], examples: list) -> dict[str, float]:
+        accuracy = sum(hits) / len(examples) if examples else 0.0
+        metrics = {"accuracy": accuracy, "error_percent": 100.0 * (1.0 - accuracy)}
+        if examples:
+            majority = Counter(ex.label for ex in examples)
+            constant = max(majority.values()) / len(examples)
+            metrics["constant_accuracy"] = constant
+            if accuracy > 0.0:
+                metrics["entropy_reduction_bits"] = entropy_reduction(accuracy, constant)
+        return metrics
+
+
+class MultilabelTask(Task):
+    """Multilabel with one-against-some inference over the returned labels."""
+
+    ablate_columns = (("mean_hamming_loss", "mean_hamming_loss"),)
+
+    def __init__(self, config: RunConfig, label_scorers: Optional[dict] = None):
+        super().__init__(config)
+        self.oas = OASModel()
+        self.oas.scorers = dict(label_scorers or {})
+        self.label_scorers = self.oas.scorers
+
+    def example(self, line) -> MultilabelExample:
+        return MultilabelExample(line.right_block, line.labels)
+
+    def memory(self, ex: MultilabelExample) -> Memory:
+        return Memory(ex.x, ex.labels)
+
+    def train_pass(self, tree: Tree, examples: list) -> list[tuple[int, str, float]]:
+        loss_total = 0
+        reward_total = 0.0
+        for ex in examples:
+            predicted, _ = oas_step(tree, self.oas, ex, train=True, epsilon=self.config.epsilon)
+            loss_total += hamming_loss(predicted, ex.labels)
+            reward_total += f1_reward(ex.labels, predicted)
+        if not examples:
+            return []
+        return [
+            (len(examples), "progressive_hamming_loss", loss_total / len(examples)),
+            (len(examples), "progressive_f1", reward_total / len(examples)),
+        ]
+
+    def eval_step(self, tree: Tree, ex: MultilabelExample) -> int:
+        predicted, _ = oas_step(tree, self.oas, ex, train=False)
+        return hamming_loss(predicted, ex.labels)
+
+    def summarize(self, losses: list[int], examples: list) -> dict[str, float]:
+        return {"mean_hamming_loss": sum(losses) / len(examples) if examples else 0.0}
+
+
+class RetrievalTask(Task):
+    ablate_columns = (("mean_cosine", "mean_cosine"),)
+
+    def example(self, line) -> RetrievalPair:
+        return RetrievalPair(line.left_block(self.config.hash_bits), line.right_block)
+
+    def memory(self, ex: RetrievalPair) -> Memory:
+        return Memory(ex.x, ex.value)
+
+    def train_pass(self, tree: Tree, examples: list) -> list[tuple[int, str, float]]:
+        reward_total = 0.0
+        for ex in examples:
+            _, reward = retrieval_step(tree, ex, train=True, epsilon=self.config.epsilon)
+            reward_total += reward
+        if not examples:
+            return []
+        return [(len(examples), "progressive_cosine", reward_total / len(examples))]
+
+    def eval_step(self, tree: Tree, ex: RetrievalPair) -> float:
+        return retrieval_step(tree, ex, train=False)[1]
+
+    def summarize(self, rewards: list[float], examples: list) -> dict[str, float]:
+        return {"mean_cosine": sum(rewards) / len(examples) if examples else 0.0}
+
+
+TASKS = {
+    MODE_MULTICLASS: MulticlassTask,
+    MODE_MULTILABEL: MultilabelTask,
+    MODE_RETRIEVAL: RetrievalTask,
+}
+
+
+def make_task(config: RunConfig, label_scorers: Optional[dict] = None) -> Task:
+    """The task for config.mode; label_scorers restore a snapshot's OAS models."""
+    if config.mode not in TASKS:
+        raise ValueError(f"unknown mode {config.mode!r}")
+    return TASKS[config.mode](config, label_scorers)
+
+
 def load_dataset(config: RunConfig):
     """Resolve --data into (train, test) example lists.
 
@@ -129,42 +258,26 @@ def load_dataset(config: RunConfig):
         text = Path(config.data).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {config.data!r}: {exc}") from exc
+    task = make_task(config)
     examples = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
             line = parse_line(raw, config.mode, bits=config.hash_bits, lineno=lineno)
         except ParseError as exc:
             raise DataError(f"{config.data}: {exc}") from exc
-        if config.mode == MODE_MULTICLASS:
-            examples.append(MulticlassExample(line.right_block, line.label))
-        elif config.mode == MODE_MULTILABEL:
-            examples.append(MultilabelExample(line.right_block, line.labels))
-        else:
-            examples.append(RetrievalPair(line.left_block(config.hash_bits), line.right_block))
+        examples.append(task.example(line))
     return examples, []
 
 
-def _example_memory(config: RunConfig, ex) -> Memory:
-    if config.mode == MODE_MULTICLASS:
-        return Memory(ex.x, ex.label)
-    if config.mode == MODE_MULTILABEL:
-        return Memory(ex.x, ex.labels)
-    return Memory(ex.x, ex.value)
-
-
-def cmd_train(config: RunConfig) -> dict:
-    """Insert-only passes, then supervised passes, then snapshot + metrics."""
-    train, _ = load_dataset(config)
+def fit(config: RunConfig, task: Task, train: list) -> tuple[Tree, MetricLog]:
+    """Insert-only passes, then supervised passes; returns the tree and its metrics."""
     tree = config.build_tree()
-    oas = OASModel() if config.mode == MODE_MULTILABEL else None
     log = MetricLog(config.run_id())
-    started = time.perf_counter()
-
     for p in range(1, config.passes_unsup + 1):
         phase = f"unsup_pass_{p}"
         inserted = 0
         for ex in train:
-            z = _example_memory(config, ex)
+            z = task.memory(ex)
             if z.key_fingerprint not in tree.M:
                 tree.insert(z)
                 inserted += 1
@@ -174,40 +287,36 @@ def cmd_train(config: RunConfig) -> dict:
 
     for p in range(1, config.passes_sup + 1):
         phase = f"sup_pass_{p}"
-        if config.mode == MODE_MULTICLASS:
-            accuracy, trace = mc_progressive_run(
-                tree, train, config.epsilon, update_on_exploit=config.update_on_exploit
-            )
-            for step, window_acc, cum_acc in trace:
-                log.add(phase, step, "window_accuracy", window_acc)
-                log.add(phase, step, "cumulative_accuracy", cum_acc)
-            log.add(phase, len(train), "progressive_accuracy", accuracy)
-        elif config.mode == MODE_MULTILABEL:
-            loss_total = 0
-            reward_total = 0.0
-            for ex in train:
-                predicted, _ = oas_step(tree, oas, ex, train=True, epsilon=config.epsilon)
-                loss_total += hamming_loss(predicted, ex.labels)
-                reward_total += f1_reward(ex.labels, predicted)
-            if train:
-                log.add(phase, len(train), "progressive_hamming_loss", loss_total / len(train))
-                log.add(phase, len(train), "progressive_f1", reward_total / len(train))
-        else:
-            reward_total = 0.0
-            for ex in train:
-                _, reward = retrieval_step(tree, ex, train=True, epsilon=config.epsilon)
-                reward_total += reward
-            if train:
-                log.add(phase, len(train), "progressive_cosine", reward_total / len(train))
+        for step, metric, value in task.train_pass(tree, train):
+            log.add(phase, step, metric, value)
         log.add(phase, len(train), "stored", float(len(tree)))
+    return tree, log
 
+
+def evaluate(task: Task, tree: Tree, examples: list) -> tuple[dict[str, float], list[float]]:
+    """Epsilon=0 pass over examples; returns the task's metrics and per-example seconds."""
+    values = []
+    latencies: list[float] = []
+    for ex in examples:
+        t0 = time.perf_counter()
+        values.append(task.eval_step(tree, ex))
+        latencies.append(time.perf_counter() - t0)
+    return task.summarize(values, examples), latencies
+
+
+def cmd_train(config: RunConfig) -> dict:
+    """Insert-only passes, then supervised passes, then snapshot + metrics."""
+    train, _ = load_dataset(config)
+    task = make_task(config)
+    started = time.perf_counter()
+    tree, log = fit(config, task, train)
     elapsed = time.perf_counter() - started
     if config.snapshot:
         snapshot_save(
             tree,
             config.snapshot,
             config=asdict(config),
-            label_scorers=oas.scorers if oas else None,
+            label_scorers=task.label_scorers,
         )
     log.write(config.metrics)
     summary = {
@@ -238,56 +347,13 @@ def cmd_test(config: RunConfig) -> dict:
     if not test:
         test = train  # plain files carry no split: evaluate the file itself
 
+    task = make_task(config, label_scorers)
+    metrics, latencies = evaluate(task, tree, test)
     log = MetricLog(config.run_id())
-    latencies: list[float] = []
-    summary: dict = {"examples": len(test)}
-
-    if config.mode == MODE_MULTICLASS:
-        hits = 0
-        majority: dict[int, int] = {}
-        for ex in test:
-            majority[ex.label] = majority.get(ex.label, 0) + 1
-            t0 = time.perf_counter()
-            result = tree.query(ex.x, 1, 0.0)
-            latencies.append(time.perf_counter() - t0)
-            if result.memories and result.memories[0].value == ex.label:
-                hits += 1
-        accuracy = hits / len(test) if test else 0.0
-        summary["accuracy"] = accuracy
-        summary["error_percent"] = 100.0 * (1.0 - accuracy)
-        log.add("test", len(test), "accuracy", accuracy)
-        log.add("test", len(test), "error_percent", summary["error_percent"])
-        if test:
-            constant = max(majority.values()) / len(test)
-            log.add("test", len(test), "constant_accuracy", constant)
-            if accuracy > 0.0:
-                gain = entropy_reduction(accuracy, constant)
-                summary["entropy_reduction_bits"] = gain
-                log.add("test", len(test), "entropy_reduction_bits", gain)
-    elif config.mode == MODE_MULTILABEL:
-        oas = OASModel()
-        oas.scorers = dict(label_scorers)
-        loss_total = 0
-        for ex in test:
-            t0 = time.perf_counter()
-            predicted, _ = oas_step(tree, oas, ex, train=False)
-            latencies.append(time.perf_counter() - t0)
-            loss_total += hamming_loss(predicted, ex.labels)
-        mean_loss = loss_total / len(test) if test else 0.0
-        summary["mean_hamming_loss"] = mean_loss
-        log.add("test", len(test), "mean_hamming_loss", mean_loss)
-    else:
-        reward_total = 0.0
-        for ex in test:
-            t0 = time.perf_counter()
-            _, reward = retrieval_step(tree, ex, train=False)
-            latencies.append(time.perf_counter() - t0)
-            reward_total += reward
-        mean_reward = reward_total / len(test) if test else 0.0
-        summary["mean_cosine"] = mean_reward
-        log.add("test", len(test), "mean_cosine", mean_reward)
-
+    for metric, value in metrics.items():
+        log.add("test", len(test), metric, value)
     log.write(config.metrics)
+    summary: dict = {"examples": len(test), **metrics}
     if latencies:
         mean_ms = 1000.0 * statistics.fmean(latencies)
         p99_ms = 1000.0 * sorted(latencies)[max(0, math.ceil(0.99 * len(latencies)) - 1)]
@@ -297,10 +363,8 @@ def cmd_test(config: RunConfig) -> dict:
               f"latency_ms mean={mean_ms:.4f} p99={p99_ms:.4f}")
     else:
         print(f"test[{config.mode}] examples=0")
-    for key in ("accuracy", "error_percent", "entropy_reduction_bits",
-                "mean_hamming_loss", "mean_cosine"):
-        if key in summary:
-            print(f"  {key} = {summary[key]}")
+    for metric, value in metrics.items():
+        print(f"  {metric} = {value}")
     return summary
 
 
@@ -331,52 +395,20 @@ def cmd_ablate(config: RunConfig, param: str, values: list) -> list[dict]:
             cfg.data = f"{cfg.data}{sep}shots={int(value)}"
 
         train, test = load_dataset(cfg)
-        tree = cfg.build_tree()
-        oas = OASModel() if cfg.mode == MODE_MULTILABEL else None
-        for _ in range(cfg.passes_unsup):
-            for ex in train:
-                z = _example_memory(cfg, ex)
-                if z.key_fingerprint not in tree.M:
-                    tree.insert(z)
-        for _ in range(cfg.passes_sup):
-            if cfg.mode == MODE_MULTICLASS:
-                mc_progressive_run(tree, train, cfg.epsilon)
-            elif cfg.mode == MODE_MULTILABEL:
-                for ex in train:
-                    oas_step(tree, oas, ex, train=True, epsilon=cfg.epsilon)
-            else:
-                for ex in train:
-                    retrieval_step(tree, ex, train=True, epsilon=cfg.epsilon)
-
-        self_consistency = tree.measure_self_consistency(tree.memories())
+        task = make_task(cfg)
+        tree, _ = fit(cfg, task, train)
         row = {
             "param": param,
             "value": value,
             "stored": len(tree),
-            "self_consistency_error": self_consistency,
+            "self_consistency_error": tree.measure_self_consistency(tree.memories()),
         }
         probe = test or train
         if probe:
-            t0 = time.perf_counter()
-            if cfg.mode == MODE_MULTICLASS:
-                hits = sum(
-                    1
-                    for ex in probe
-                    if (res := tree.query(ex.x, 1, 0.0)).memories
-                    and res.memories[0].value == ex.label
-                )
-                row["test_accuracy"] = hits / len(probe)
-                row["test_error_percent"] = 100.0 * (1.0 - row["test_accuracy"])
-            elif cfg.mode == MODE_MULTILABEL:
-                row["mean_hamming_loss"] = statistics.fmean(
-                    hamming_loss(oas_step(tree, oas, ex, train=False)[0], ex.labels)
-                    for ex in probe
-                )
-            else:
-                row["mean_cosine"] = statistics.fmean(
-                    retrieval_step(tree, ex, train=False)[1] for ex in probe
-                )
-            row["inference_ms"] = 1000.0 * (time.perf_counter() - t0) / len(probe)
+            metrics, latencies = evaluate(task, tree, probe)
+            for metric, column in task.ablate_columns:
+                row[column] = metrics[metric]
+            row["inference_ms"] = 1000.0 * statistics.fmean(latencies)
         rows.append(row)
 
     _emit_table(rows, config.metrics)

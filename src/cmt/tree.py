@@ -83,7 +83,6 @@ def node_count(node: Node) -> int:
 class PathStep:
     node: Internal
     action: str
-    prob: float
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,7 @@ def path(x: SparseVector, v: Node) -> PathRecord:
             action, child = RIGHT, v.right
         else:
             action, child = LEFT, v.left
-        steps.append(PathStep(v, action, 1.0))
+        steps.append(PathStep(v, action))
         v = child
     return PathRecord(tuple(steps), v)
 
@@ -320,8 +319,7 @@ class Tree:
             v = key.node
             if self._in_tree(v):
                 r_hat = reward_difference_estimate(r, key.action, key.prob)
-                balance = math.log(node_count(v.left) + 1) - math.log(node_count(v.right) + 1)
-                y = (1.0 - self.alpha) * r_hat + self.alpha * balance
+                y = self._router_target(v, r_hat)
                 if y != 0.0:
                     v.g.update(x, 1 if y > 0.0 else -1, abs(y))
         elif key is not None:
@@ -355,13 +353,16 @@ class Tree:
         for _ in range(reroutes):
             self.reroute()
 
+    def _router_target(self, v: Internal, signal: float) -> float:
+        """Router training target: signal blended with the balance term by alpha."""
+        balance = math.log(node_count(v.left) + 1) - math.log(node_count(v.right) + 1)
+        return (1.0 - self.alpha) * signal + self.alpha * balance
+
     def _insert_from(self, v: Node, z: Memory) -> None:
-        alpha = self.alpha
         x = z.x
         while not v.is_leaf:
             g = v.g
-            balance = math.log(node_count(v.left) + 1) - math.log(node_count(v.right) + 1)
-            score = (1.0 - alpha) * g.raw(x) + alpha * balance
+            score = self._router_target(v, g.raw(x))
             g.update(x, 1 if score > 0.0 else -1, 1.0)
             v.n += 1
             v = v.right if g.raw(x) > 0.0 else v.left
@@ -401,11 +402,9 @@ class Tree:
         else:
             parent.right = node
 
-        alpha = self.alpha
         g = node.g
         for m in leaf.mem:
-            balance = math.log(len(left.mem) + 1) - math.log(len(right.mem) + 1)
-            score = (1.0 - alpha) * g.raw(m.x) + alpha * balance
+            score = self._router_target(node, g.raw(m.x))
             g.update(m.x, 1 if score > 0.0 else -1, 1.0)
             node.n += 1
             child = right if g.raw(m.x) > 0.0 else left

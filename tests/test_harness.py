@@ -139,12 +139,24 @@ def test_train_then_test_on_file(tmp_path):
     assert "latency_ms_mean" in result and "latency_ms_p99" in result
 
 
-def test_train_determinism_byte_identical_metrics(tmp_path):
-    data = write_multiclass_file(tmp_path / "train.vw")
+SYNTH_URIS = {
+    "multiclass": "synth:multiclass?classes=10&shots=3&test_per_class=1",
+    "multilabel": "synth:multilabel?examples=60&labels=20&test_examples=20",
+    "retrieval": "synth:retrieval?pairs=40&test_pairs=10",
+}
+
+
+@pytest.mark.parametrize("source", ["file", *SYNTH_URIS])
+def test_train_determinism_byte_identical_metrics(tmp_path, source):
+    if source == "file":
+        mode, data = "multiclass", str(write_multiclass_file(tmp_path / "train.vw"))
+    else:
+        mode, data = source, SYNTH_URIS[source]
     outputs = []
     for name in ("a", "b"):
         config = RunConfig(
-            data=str(data),
+            mode=mode,
+            data=data,
             metrics=str(tmp_path / f"{name}.tsv"),
             seed=7,
             d=3,
@@ -152,6 +164,19 @@ def test_train_determinism_byte_identical_metrics(tmp_path):
         cmd_train(config)
         outputs.append((tmp_path / f"{name}.tsv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("mode,metric", [
+    ("multilabel", "mean_hamming_loss"),
+    ("retrieval", "mean_cosine"),
+])
+def test_train_then_test_synth_round_trip(tmp_path, mode, metric):
+    common = ["--mode", mode, "--data", SYNTH_URIS[mode], "--seed", "2", "--reroutes", "1",
+              "--snapshot", str(tmp_path / "m.snap")]
+    assert main(["train", *common, "--metrics", str(tmp_path / "train.tsv")]) == 0
+    assert main(["test", *common, "--metrics", str(tmp_path / "test.tsv")]) == 0
+    rows = [line.split("\t") for line in (tmp_path / "test.tsv").read_text().splitlines()[1:]]
+    assert [row[3] for row in rows] == [metric]
 
 
 def test_empty_data_file_trains_to_empty_snapshot(tmp_path):
@@ -228,6 +253,16 @@ def test_ablate_single_value_equals_one_run():
     rows = cmd_ablate(config, "c", [4.0])
     assert len(rows) == 1
     assert rows[0]["value"] == 4.0
+
+
+@pytest.mark.parametrize("update_on_exploit", [False, True])
+def test_ablate_trains_the_model_train_saves(tmp_path, update_on_exploit):
+    settings = dict(data="synth:multiclass?classes=30&shots=3&test_per_class=1", d=2, seed=1,
+                    update_on_exploit=update_on_exploit)
+    (row,) = cmd_ablate(RunConfig(**settings), "c", [4.0])
+    cmd_train(RunConfig(snapshot=str(tmp_path / "m.snap"), **settings))
+    tree = snapshot_load(str(tmp_path / "m.snap"))
+    assert row["self_consistency_error"] == tree.measure_self_consistency(tree.memories())
 
 
 def test_ablate_rejects_empty_values():

@@ -97,7 +97,6 @@ def test_path_tie_goes_left():
     record = path(sv({1: 1.0}), t.root)
     assert len(record.steps) == 1
     assert record.steps[0].action == LEFT
-    assert record.steps[0].prob == 1.0
     assert record.leaf is root.left
 
 
