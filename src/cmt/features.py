@@ -72,13 +72,12 @@ class SparseVector:
         acc: dict[int, float] = {}
         for i, v in pairs:
             acc[i] = acc.get(i, 0.0) + float(v)
-        items = sorted((i, v) for i, v in acc.items() if v != 0.0)
+        keys = sorted(i for i, v in acc.items() if v != 0.0)
         vec = cls.__new__(cls)
-        vec.indices = tuple(i for i, _ in items)
-        vec.values = tuple(v for _, v in items)
-        for v in vec.values:
-            if not math.isfinite(v):
-                raise ValueError("values must be finite")
+        vec.indices = tuple(keys)
+        vec.values = tuple([acc[i] for i in keys])
+        if not all(map(math.isfinite, vec.values)):
+            raise ValueError("values must be finite")
         return vec
 
     def __len__(self) -> int:
@@ -109,9 +108,6 @@ class SparseVector:
         """Canonical byte serialization: packed indices then packed values."""
         n = len(self.indices)
         return struct.pack(f"<{n}q", *self.indices) + struct.pack(f"<{n}d", *self.values)
-
-
-EMPTY_VECTOR = SparseVector()
 
 
 def fingerprint(v: SparseVector) -> int:
@@ -182,20 +178,15 @@ def hash_features(tokens, bits: int = DEFAULT_BITS) -> SparseVector:
     """Hash (name, value) tokens into a 2**bits feature space.
 
     Names are digested with 64-bit FNV-1a and masked to the low `bits` bits;
-    colliding names have their values summed.
+    colliding names have their values summed, and a sum that overflows
+    raises ValueError.
     """
     if not 1 <= bits <= 31:
         raise ValueError("bits must be in [1, 31]")
     mask = (1 << bits) - 1
-    acc: dict[int, float] = {}
-    for name, value in tokens:
-        idx = fnv1a64(name.encode("utf-8")) & mask
-        acc[idx] = acc.get(idx, 0.0) + float(value)
-    items = sorted((i, v) for i, v in acc.items() if v != 0.0)
-    vec = SparseVector.__new__(SparseVector)
-    vec.indices = tuple(i for i, _ in items)
-    vec.values = tuple(v for _, v in items)
-    return vec
+    return SparseVector.from_pairs(
+        (fnv1a64(name.encode("utf-8")) & mask, value) for name, value in tokens
+    )
 
 
 @dataclass(frozen=True)
@@ -228,7 +219,7 @@ class LabeledLine:
     def left_block(self, bits: int = DEFAULT_BITS) -> SparseVector:
         if self.mode != MODE_RETRIEVAL:
             raise ValueError("left feature block is only defined for retrieval lines")
-        return hash_features([_split_token(t, 0) for t in self.left_tokens], bits)
+        return _hash_block(self.left_tokens, bits, 0)
 
 
 def _split_token(token: str, lineno: int) -> tuple[str, float]:
@@ -244,6 +235,16 @@ def _split_token(token: str, lineno: int) -> tuple[str, float]:
     if not math.isfinite(value):
         raise ParseError(f"feature token {token!r} is not finite", lineno)
     return name, value
+
+
+def _hash_block(tokens: tuple[str, ...], bits: int, lineno: int) -> SparseVector:
+    pairs = [_split_token(t, lineno) for t in tokens]
+    try:
+        return hash_features(pairs, bits)
+    except ValueError as exc:
+        if not 1 <= bits <= 31:  # a bad width is the caller's error, not the line's
+            raise
+        raise ParseError(f"colliding feature values overflow: {exc}", lineno) from None
 
 
 def _parse_features(block: str, lineno: int) -> tuple[str, ...]:
@@ -278,9 +279,9 @@ def parse_line(text: str, mode: str, bits: int = DEFAULT_BITS, lineno: int = 0) 
             raise ParseError(f"bad multilabel block {left!r}", lineno)
     else:
         left_tokens = _parse_features(left, lineno)
+        _hash_block(left_tokens, bits, lineno)  # its tokens may overflow too
 
-    block = hash_features([_split_token(t, lineno) for t in right_tokens], bits)
-    return LabeledLine(mode, left_tokens, right_tokens, block)
+    return LabeledLine(mode, left_tokens, right_tokens, _hash_block(right_tokens, bits, lineno))
 
 
 def render_line(line: LabeledLine) -> str:

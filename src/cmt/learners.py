@@ -73,8 +73,8 @@ class RouterModel(LinearModel):
         """Hard decision in {-1, +1}; a tied score of 0 predicts -1 (left)."""
         return 1 if self.raw(x) > 0.0 else -1
 
-    def update(self, x: SparseVector, y: int, importance: float) -> None:
-        """One importance-weighted logistic step toward label y.
+    def update(self, x: SparseVector, y: int, importance: float) -> float:
+        """One importance-weighted logistic step toward y; returns the new raw(x).
 
         A zero importance leaves all state untouched except the update count.
         The mistake counter compares the post-update prediction with y, so
@@ -86,11 +86,12 @@ class RouterModel(LinearModel):
             raise ValueError("importance must be finite and >= 0")
         self.update_count += 1
         if importance == 0.0:
-            return
-        margin = y * self.raw(x)
-        self._step(x, -importance * y * sigmoid(-margin))
-        if self.predict(x) != y:
+            return self.raw(x)
+        self._step(x, -importance * y * sigmoid(-y * self.raw(x)))
+        score = self.raw(x)
+        if (score > 0.0) != (y > 0):
             self.mistake_count += 1
+        return score
 
     def progressive_error(self) -> float:
         """Fraction of updates whose post-update prediction disagreed with the label."""

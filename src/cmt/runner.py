@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 from hashlib import blake2b
 from pathlib import Path
 from typing import Optional
+from urllib.parse import urlparse
 
 from .features import (
     DEFAULT_BITS,
@@ -250,6 +251,9 @@ def load_dataset(config: RunConfig):
     if config.data is None:
         raise DataError("no --data source given")
     if is_synth_uri(config.data):
+        kind = urlparse(config.data).path
+        if kind in TASKS and kind != config.mode:
+            raise DataError(f"synth data of kind {kind!r} cannot feed mode {config.mode!r}")
         try:
             return synth_generate(config.data, bits=config.hash_bits, seed=config.seed)
         except (ValueError, TypeError) as exc:

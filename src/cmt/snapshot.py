@@ -81,10 +81,7 @@ def _read_model(fh, model: LinearModel) -> LinearModel:
 
 def _write_vector(fh, v: SparseVector) -> None:
     _write_u32(fh, len(v))
-    for i in v.indices:
-        _write_i64(fh, i)
-    for x in v.values:
-        _write_f64(fh, x)
+    fh.write(v.to_bytes())
 
 
 def _read_vector(fh) -> SparseVector:
@@ -153,9 +150,7 @@ def _read_node(fh, tree: Tree, parent: Optional[Internal]) -> Node:
         for _ in range(_read_u32(fh)):
             z = _read_memory(fh)
             leaf.mem.append(z)
-            tree.M[z.key_fingerprint] = leaf
-            tree._fp_pos[z.key_fingerprint] = len(tree._fps)
-            tree._fps.append(z.key_fingerprint)
+            tree._register(z, leaf)
         return leaf
     if tag != _NODE_INTERNAL:
         raise SnapshotError(f"unknown node tag {tag}")

@@ -130,8 +130,7 @@ def mc_evaluate(t: Tree, stream) -> tuple[float, int]:
 class OASModel:
     """One-against-some inference over a lazily created scorer per label."""
 
-    def __init__(self, base_rate: float = 0.1):
-        self.base_rate = base_rate
+    def __init__(self):
         self.scorers: dict[int, RouterModel] = {}
 
     def score(self, label: int, x: SparseVector) -> float:
@@ -145,7 +144,7 @@ class OASModel:
         for label in sorted(candidates):
             scorer = self.scorers.get(label)
             if scorer is None:
-                scorer = self.scorers[label] = RouterModel(self.base_rate)
+                scorer = self.scorers[label] = RouterModel()
             scorer.update(x, 1 if label in truth else -1, 1.0)
 
 

@@ -342,14 +342,14 @@ class Tree:
 
     # -- insert ------------------------------------------------------------
 
-    def insert(self, z: Memory, d: Optional[int] = None, at: Optional[Node] = None) -> None:
+    def insert(self, z: Memory, d: Optional[int] = None) -> None:
         """Route z to a leaf (training routers on the way) and store it."""
         reroutes = self.d if d is None else d
         if z.key_fingerprint in self.M:
             if not self.replace_duplicates:
                 raise DuplicateKeyError(f"key {z.key_fingerprint:#x} already stored")
             self._remove_fp(z.key_fingerprint)
-        self._insert_from(self.root if at is None else at, z)
+        self._insert_from(self.root, z)
         for _ in range(reroutes):
             self.reroute()
 
@@ -358,14 +358,16 @@ class Tree:
         balance = math.log(node_count(v.left) + 1) - math.log(node_count(v.right) + 1)
         return (1.0 - self.alpha) * signal + self.alpha * balance
 
+    def _route_step(self, v: Internal, x: SparseVector) -> Node:
+        """Count x at v, train v's router toward its target, return x's next node."""
+        v.n += 1
+        target = self._router_target(v, v.g.raw(x))
+        score = v.g.update(x, 1 if target > 0.0 else -1, 1.0)
+        return v.right if score > 0.0 else v.left
+
     def _insert_from(self, v: Node, z: Memory) -> None:
-        x = z.x
         while not v.is_leaf:
-            g = v.g
-            score = self._router_target(v, g.raw(x))
-            g.update(x, 1 if score > 0.0 else -1, 1.0)
-            v.n += 1
-            v = v.right if g.raw(x) > 0.0 else v.left
+            v = self._route_step(v, z.x)
         self.insert_leaf(v, z)
 
     def insert_leaf(self, leaf: Leaf, z: Memory) -> None:
@@ -385,7 +387,7 @@ class Tree:
     def _split(self, leaf: Leaf, protected: Optional[Memory]) -> None:
         """Promote a leaf to an internal node and redistribute its memories.
 
-        The redistribution trains a fresh router exactly like insert descent
+        The redistribution takes the same router step as insert descent
         but never splits the fresh children mid-loop; afterwards, if one
         child ends up empty, the lower-scored half of the other child moves
         over (the memory whose insert triggered the split stays put so its
@@ -402,12 +404,8 @@ class Tree:
         else:
             parent.right = node
 
-        g = node.g
         for m in leaf.mem:
-            score = self._router_target(node, g.raw(m.x))
-            g.update(m.x, 1 if score > 0.0 else -1, 1.0)
-            node.n += 1
-            child = right if g.raw(m.x) > 0.0 else left
+            child = self._route_step(node, m.x)
             child.mem.append(m)
             self.M[m.key_fingerprint] = child
 

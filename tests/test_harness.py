@@ -100,6 +100,21 @@ def test_snapshot_missing_file_errors(tmp_path):
         snapshot_load(str(tmp_path / "absent.snap"))
 
 
+def test_snapshot_with_a_repeated_key_errors(tmp_path, monkeypatch):
+    t = build_tree(40)
+    first, second = list(t.leaves())[:2]
+    second.mem.append(Memory(first.mem[0].x, -1))
+    node = second.parent
+    while node is not None:
+        node.n += 1
+        node = node.parent
+    monkeypatch.setattr(t, "check_invariants", lambda: [])  # let the save through
+    snap = tmp_path / "dup.snap"
+    snapshot_save(t, str(snap))
+    with pytest.raises(SnapshotError):
+        snapshot_load(str(snap))
+
+
 def test_snapshot_round_trip_is_byte_stable(tmp_path):
     t = build_tree(50, seed=8)
     a, b = tmp_path / "a.snap", tmp_path / "b.snap"
@@ -313,6 +328,14 @@ def test_cli_data_error_exit_code(tmp_path):
     bad.write_text("not a valid line\n", encoding="utf-8")
     assert main(["train", "--data", str(bad)]) == 3
     assert main(["train", "--data", str(tmp_path / "missing.vw")]) == 3
+    # synth data whose kind is not the requested mode
+    assert main(["train", "--data", "synth:multilabel?examples=20&labels=5&test_examples=5"]) == 3
+    # repeated tokens whose values sum past the float range
+    overflow = tmp_path / "overflow.vw"
+    overflow.write_text("1 | f:1e308 f:1e308\n", encoding="utf-8")
+    assert main(["train", "--data", str(overflow)]) == 3
+    overflow.write_text("q:1e308 q:1e308 | v:1\n", encoding="utf-8")
+    assert main(["train", "--mode", "retrieval", "--data", str(overflow)]) == 3
 
 
 def test_cli_parse_error_reports_line_number(tmp_path, capsys):

@@ -38,9 +38,10 @@ def test_router_one_step_matches_hand_gradient():
     # dloss/dscore = -sigmoid(0) = -0.5, grad = -1.0, accumulated = 1.0,
     # w = 0.1 / sqrt(2), so the score is 0.2 / sqrt(2).
     g = RouterModel()
-    g.update(X, 1, 1.0)
+    score = g.update(X, 1, 1.0)
     assert g.raw(X) == pytest.approx(0.2 / math.sqrt(2.0), rel=1e-12)
     assert g.raw(X) > 0.0
+    assert score == g.raw(X)  # update returns the post-update score
 
 
 def test_router_zero_importance_is_a_no_op():

@@ -405,6 +405,30 @@ def test_forced_split_fallback_keeps_both_children_nonempty():
     assert got.memories[0].key_fingerprint == z2.key_fingerprint
 
 
+def test_insert_scores_each_router_at_most_three_times_per_update(monkeypatch):
+    # one score for the target, one for the logistic margin, one after the
+    # step that both counts mistakes and picks the child
+    calls = {"raw": 0, "update": 0}
+    raw, update = RouterModel.raw, RouterModel.update
+
+    def counting_raw(self, x):
+        calls["raw"] += 1
+        return raw(self, x)
+
+    def counting_update(self, x, y, importance):
+        calls["update"] += 1
+        return update(self, x, y, importance)
+
+    monkeypatch.setattr(RouterModel, "raw", counting_raw)
+    monkeypatch.setattr(RouterModel, "update", counting_update)
+    t = euclidean_tree(c=1.0, seed=19)
+    for z in random_memories(40, seed=19):
+        t.insert(z, 0)
+    assert t.max_depth() >= 3  # several splits redistributed their leaves
+    assert calls["update"] > 0
+    assert calls["raw"] <= 3 * calls["update"]
+
+
 # -- remove ----------------------------------------------------------------------
 
 def test_remove_last_memory_leaves_empty_root_leaf():
