@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, fields
 from typing import Optional
 
 from .features import MODES
@@ -36,30 +37,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mode", choices=MODES, default="multiclass")
+        p.add_argument("--mode", choices=MODES)
         p.add_argument("--data", help="dataset path or synth:KIND?... URI")
         p.add_argument("--snapshot", help="snapshot file to write (train) or read (test)")
         p.add_argument("--metrics", help="TSV metrics output path")
-        p.add_argument("--alpha", type=float, default=0.9,
+        p.add_argument("--alpha", type=float,
                        help="balance weight in (0, 1] for router training")
-        p.add_argument("--leaf-mult", type=float, default=4.0, dest="leaf_mult",
+        p.add_argument("--leaf-mult", type=float, dest="c",
                        help="multiplier c on the log leaf capacity")
-        p.add_argument("--reroutes", type=int, default=5,
+        p.add_argument("--reroutes", type=int, dest="d",
                        help="reroute passes per insert/update (d)")
-        p.add_argument("--epsilon", type=float, default=0.1,
+        p.add_argument("--epsilon", type=float,
                        help="exploration probability during training")
-        p.add_argument("--passes-unsup", type=int, default=1, dest="passes_unsup")
-        p.add_argument("--passes-sup", type=int, default=1, dest="passes_sup")
-        p.add_argument("--hash-bits", type=int, default=20, dest="hash_bits")
+        p.add_argument("--passes-unsup", type=int)
+        p.add_argument("--passes-sup", type=int)
+        p.add_argument("--hash-bits", type=int)
         p.add_argument("--scorer", choices=(SCORER_LEARNED, SCORER_EUCLIDEAN),
-                       default=SCORER_LEARNED)
-        p.add_argument("--seed", type=int, default=0)
+                       dest="scorer_mode")
+        p.add_argument("--seed", type=int)
         p.add_argument("--update-on-exploit", action="store_true",
-                       dest="update_on_exploit",
                        help="also train the scorer on non-exploratory returns")
         p.add_argument("--replace-duplicates", action="store_true",
-                       dest="replace_duplicates",
                        help="re-inserting a stored key replaces it instead of erroring")
+        p.set_defaults(**asdict(RunConfig()))
 
     p_train = sub.add_parser("train", help="build a tree from a dataset")
     add_common(p_train)
@@ -81,23 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        mode=args.mode,
-        alpha=args.alpha,
-        c=args.leaf_mult,
-        d=args.reroutes,
-        epsilon=args.epsilon,
-        passes_unsup=args.passes_unsup,
-        passes_sup=args.passes_sup,
-        hash_bits=args.hash_bits,
-        seed=args.seed,
-        scorer_mode=args.scorer,
-        update_on_exploit=args.update_on_exploit,
-        replace_duplicates=args.replace_duplicates,
-        data=args.data,
-        snapshot=args.snapshot,
-        metrics=args.metrics,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def _parse_values(raw: str, cast):

@@ -174,6 +174,12 @@ def cosine(a: SparseVector, b: SparseVector) -> float:
     return max(-1.0, min(1.0, c))
 
 
+def check_bits(bits: int) -> None:
+    """Raise ValueError unless `bits` is a supported hash width."""
+    if not 1 <= bits <= 31:
+        raise ValueError("bits must be in [1, 31]")
+
+
 def hash_features(tokens, bits: int = DEFAULT_BITS) -> SparseVector:
     """Hash (name, value) tokens into a 2**bits feature space.
 
@@ -181,8 +187,7 @@ def hash_features(tokens, bits: int = DEFAULT_BITS) -> SparseVector:
     colliding names have their values summed, and a sum that overflows
     raises ValueError.
     """
-    if not 1 <= bits <= 31:
-        raise ValueError("bits must be in [1, 31]")
+    check_bits(bits)
     mask = (1 << bits) - 1
     return SparseVector.from_pairs(
         (fnv1a64(name.encode("utf-8")) & mask, value) for name, value in tokens
@@ -239,11 +244,10 @@ def _split_token(token: str, lineno: int) -> tuple[str, float]:
 
 def _hash_block(tokens: tuple[str, ...], bits: int, lineno: int) -> SparseVector:
     pairs = [_split_token(t, lineno) for t in tokens]
+    check_bits(bits)  # a bad width is the caller's error, not the line's
     try:
         return hash_features(pairs, bits)
     except ValueError as exc:
-        if not 1 <= bits <= 31:  # a bad width is the caller's error, not the line's
-            raise
         raise ParseError(f"colliding feature values overflow: {exc}", lineno) from None
 
 

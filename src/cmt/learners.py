@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 
-from .features import SparseVector, cosine, dot, l2_distance
+from .features import SparseVector, dot, l2_distance
 
-DEFAULT_BASE_RATE = 0.1
+# One global AdaGrad step size: per-feature adaptive steps let every router,
+# label scorer and the leaf scorer share it.
+BASE_RATE = 0.1
 
 SCORER_LEARNED = "learned"
 SCORER_EUCLIDEAN = "euclidean"
@@ -35,14 +37,11 @@ def sigmoid(t: float) -> float:
 class LinearModel:
     """Sparse weights plus accumulated squared gradients."""
 
-    __slots__ = ("weights", "grad_sq", "base_rate", "update_count", "mistake_count")
+    __slots__ = ("weights", "grad_sq", "update_count", "mistake_count")
 
-    def __init__(self, base_rate: float = DEFAULT_BASE_RATE):
-        if not (base_rate > 0.0 and math.isfinite(base_rate)):
-            raise ValueError("base_rate must be positive and finite")
+    def __init__(self):
         self.weights: dict[int, float] = {}
         self.grad_sq: dict[int, float] = {}
-        self.base_rate = base_rate
         self.update_count = 0
         self.mistake_count = 0
 
@@ -58,7 +57,7 @@ class LinearModel:
     def _step(self, x: SparseVector, dloss_dscore: float) -> None:
         # dloss_dscore is the derivative of the loss wrt the linear score;
         # the per-feature gradient is dloss_dscore * x_i.
-        w, g2, rate = self.weights, self.grad_sq, self.base_rate
+        w, g2, rate = self.weights, self.grad_sq, BASE_RATE
         for i, v in zip(x.indices, x.values):
             g = dloss_dscore * v
             acc = g2.get(i, 0.0) + g * g
@@ -156,10 +155,10 @@ class ScorerModel(LinearModel):
 
     __slots__ = ("mode",)
 
-    def __init__(self, mode: str = SCORER_LEARNED, base_rate: float = DEFAULT_BASE_RATE):
+    def __init__(self, mode: str = SCORER_LEARNED):
         if mode not in (SCORER_LEARNED, SCORER_EUCLIDEAN):
             raise ValueError(f"unknown scorer mode {mode!r}")
-        super().__init__(base_rate)
+        super().__init__()
         self.mode = mode
 
     def predict(self, x: SparseVector, key: SparseVector) -> float:

@@ -26,6 +26,7 @@ from .features import (
     MODE_MULTILABEL,
     MODE_RETRIEVAL,
     ParseError,
+    check_bits,
     parse_line,
 )
 from .learners import SCORER_LEARNED, ScorerModel
@@ -248,6 +249,7 @@ def load_dataset(config: RunConfig):
     A plain path is parsed under the mode grammar (and yields no test
     split); a synth: URI materializes both splits.
     """
+    check_bits(config.hash_bits)  # a usage error, whatever the data source
     if config.data is None:
         raise DataError("no --data source given")
     if is_synth_uri(config.data):

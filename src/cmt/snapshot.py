@@ -2,14 +2,16 @@
 
 Layout: an 8-byte magic, a u32 format version, a length-prefixed UTF-8
 JSON header (tree parameters, generator state, optional run config), the
-shared scorer record, then the node tree in preorder, then an end marker.
-Linear models are stored as sorted (index, weight, grad_sq) triples so a
-snapshot is a canonical byte encoding of its tree. Loading a truncated or
-foreign file raises SnapshotError before any tree is returned.
+shared scorer record, then the node tree in preorder, then the label
+scorers and an end marker. Linear models are stored as their two counters
+and sorted (index, weight, grad_sq) triples so a snapshot is a canonical
+byte encoding of its tree. Loading a truncated, foreign or other-version
+file raises SnapshotError before any tree is returned.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 from typing import Any, BinaryIO, Optional
@@ -19,7 +21,7 @@ from .learners import LinearModel, RouterModel, ScorerModel
 from .tree import Internal, Leaf, Memory, Node, Tree
 
 MAGIC = b"CMTSNAP\x00"
-VERSION = 1
+VERSION = 2
 
 _NODE_LEAF = 0
 _NODE_INTERNAL = 1
@@ -57,7 +59,6 @@ def _read_f64(fh) -> float: return struct.unpack("<d", _read(fh, 8))[0]
 
 
 def _write_model(fh, model: LinearModel) -> None:
-    _write_f64(fh, model.base_rate)
     _write_u64(fh, model.update_count)
     _write_u64(fh, model.mistake_count)
     items = sorted(model.weights.items())
@@ -69,7 +70,6 @@ def _write_model(fh, model: LinearModel) -> None:
 
 
 def _read_model(fh, model: LinearModel) -> LinearModel:
-    model.base_rate = _read_f64(fh)
     model.update_count = _read_u64(fh)
     model.mistake_count = _read_u64(fh)
     for _ in range(_read_u32(fh)):
@@ -86,10 +86,9 @@ def _write_vector(fh, v: SparseVector) -> None:
 
 def _read_vector(fh) -> SparseVector:
     n = _read_u32(fh)
-    indices = tuple(_read_i64(fh) for _ in range(n))
-    values = tuple(_read_f64(fh) for _ in range(n))
+    packed = struct.unpack(f"<{n}q{n}d", _read(fh, 16 * n))  # inverse of to_bytes()
     try:
-        return SparseVector(indices, values)
+        return SparseVector(packed[:n], packed[n:])
     except ValueError as exc:
         raise SnapshotError(f"corrupt vector record: {exc}") from exc
 
@@ -181,7 +180,6 @@ def snapshot_save(
         "c": tree.c,
         "d": tree.d,
         "seed": tree.seed,
-        "base_rate": tree.base_rate,
         "replace_duplicates": tree.replace_duplicates,
         "scorer_mode": tree.f.mode,
         "rng_state": _encode_rng_state(tree.rng.getstate()),
@@ -197,7 +195,6 @@ def snapshot_save(
         _write_u32(fh, VERSION)
         _write_u32(fh, len(blob))
         fh.write(blob)
-        _write_u8(fh, 1 if tree.f.mode == "learned" else 0)
         _write_model(fh, tree.f)
         _write_node(fh, tree.root)
         scorers = sorted((label_scorers or {}).items())
@@ -216,35 +213,42 @@ def snapshot_load(path: str) -> Tree:
 def snapshot_load_full(path: str) -> tuple[Tree, dict, dict[int, RouterModel]]:
     """Rebuild a tree; also return the stored run config and label scorers."""
     try:
-        handle = open(path, "rb")
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path!r}: {exc}") from exc
-    with handle as fh:
+    # an in-memory reader: a corrupt length reads short instead of allocating it
+    with io.BytesIO(data) as fh:
         if _read(fh, len(MAGIC)) != MAGIC:
             raise SnapshotError("bad magic: not a snapshot file")
         version = _read_u32(fh)
         if version != VERSION:
-            raise SnapshotError(f"unsupported snapshot version {version}")
+            raise SnapshotError(
+                f"unsupported snapshot version {version} (this build reads version {VERSION})"
+            )
         blob = _read(fh, _read_u32(fh))
         try:
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SnapshotError(f"corrupt header: {exc}") from exc
+        try:
+            tree = Tree(
+                alpha=header["alpha"],
+                c=header["c"],
+                d=header["d"],
+                scorer=ScorerModel(mode=header["scorer_mode"]),
+                seed=header["seed"],
+                replace_duplicates=header["replace_duplicates"],
+            )
+            tree.rng.setstate(_decode_rng_state(header["rng_state"]))
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise SnapshotError(f"bad header: {exc!r}") from exc
 
-        scorer = ScorerModel(mode=header["scorer_mode"])
-        _read_u8(fh)  # scorer mode tag, informational
-        _read_model(fh, scorer)
-        tree = Tree(
-            alpha=header["alpha"],
-            c=header["c"],
-            d=header["d"],
-            scorer=scorer,
-            seed=header["seed"],
-            base_rate=header["base_rate"],
-            replace_duplicates=header["replace_duplicates"],
-        )
-        tree.rng.setstate(_decode_rng_state(header["rng_state"]))
-        tree.root = _read_node(fh, tree, None)
+        _read_model(fh, tree.f)
+        try:
+            tree.root = _read_node(fh, tree, None)
+        except RecursionError:
+            raise SnapshotError("node records nest too deeply") from None
         label_scorers: dict[int, RouterModel] = {}
         for _ in range(_read_u32(fh)):
             label = _read_i64(fh)

@@ -11,14 +11,16 @@ nearest-neighbor baseline serves as the reference point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .features import SparseVector, cosine, l2_distance
 from .learners import RouterModel
 from .tree import Memory, Tree
 
 MODE_ONLINE = "online"
-MODE_INSERT_ONLY = "insert_only"
+
+# examples per windowed-accuracy row of mc_progressive_run
+ACCURACY_WINDOW = 100
 
 
 @dataclass(frozen=True)
@@ -68,21 +70,22 @@ def mc_step(
 ):
     """Query, score with the 0/1 label-match reward, update, then insert.
 
-    Returns (predicted label or None, correct). insert_only mode skips the
-    learner update; both modes store the example unless its key is already
-    held.
+    Returns (predicted label or None, correct). The example is stored
+    unless its key is already held. `mode` must be MODE_ONLINE, the only
+    mode; it stays a parameter for callers that pass it positionally.
     """
+    if mode != MODE_ONLINE:
+        raise ValueError(f"unknown mc_step mode {mode!r}")
     result = t.query(ex.x, 1, epsilon)
     if result.memories:
         top = result.memories[0]
         predicted = top.value
         correct = predicted == ex.label
         reward = 1.0 if correct else 0.0
-        if mode == MODE_ONLINE:
-            if result.key is not None:
-                t.update(ex.x, top, reward, result.key)
-            elif update_on_exploit:
-                t.update_scorer_on_exploit(ex.x, top, reward)
+        if result.key is not None:
+            t.update(ex.x, top, reward, result.key)
+        elif update_on_exploit:
+            t.update_scorer_on_exploit(ex.x, top, reward)
     else:
         predicted = None
         correct = False
@@ -91,11 +94,12 @@ def mc_step(
     return predicted, correct
 
 
-def mc_progressive_run(t: Tree, stream, epsilon: float, window: int = 100, **step_kwargs):
+def mc_progressive_run(t: Tree, stream, epsilon: float, **step_kwargs):
     """Fold mc_step over a stream, testing each example ahead of training.
 
     Returns (cumulative accuracy, trace) where the trace holds one
-    (step, windowed accuracy, cumulative accuracy) row per window.
+    (step, windowed accuracy, cumulative accuracy) row per ACCURACY_WINDOW
+    examples.
     """
     hits = 0
     total = 0
@@ -106,11 +110,11 @@ def mc_progressive_run(t: Tree, stream, epsilon: float, window: int = 100, **ste
         total += 1
         hits += correct
         window_hits += correct
-        if total % window == 0:
-            trace.append((total, window_hits / window, hits / total))
+        if total % ACCURACY_WINDOW == 0:
+            trace.append((total, window_hits / ACCURACY_WINDOW, hits / total))
             window_hits = 0
-    if total % window:
-        span = total % window
+    if total % ACCURACY_WINDOW:
+        span = total % ACCURACY_WINDOW
         trace.append((total, window_hits / span, hits / total))
     return (hits / total if total else 0.0), trace
 

@@ -20,7 +20,7 @@ from random import Random
 from typing import Any, Iterator, Optional, Union
 
 from .features import SparseVector, fingerprint
-from .learners import DEFAULT_BASE_RATE, RouterModel, ScorerModel
+from .learners import RouterModel, ScorerModel
 
 LEFT = "left"
 RIGHT = "right"
@@ -171,7 +171,6 @@ class Tree:
         d: int = 5,
         scorer: Optional[ScorerModel] = None,
         seed: int = 0,
-        base_rate: float = DEFAULT_BASE_RATE,
         replace_duplicates: bool = False,
     ):
         if not 0.0 < alpha <= 1.0:
@@ -186,7 +185,6 @@ class Tree:
         self.f = scorer if scorer is not None else ScorerModel()
         self.seed = seed
         self.rng = Random(seed)
-        self.base_rate = base_rate
         self.replace_duplicates = replace_duplicates
         self.root: Node = Leaf()
         self.M: dict[int, Leaf] = {}
@@ -394,7 +392,7 @@ class Tree:
         own routing stays consistent).
         """
         parent = leaf.parent
-        node = Internal(parent, RouterModel(self.base_rate))
+        node = Internal(parent, RouterModel())
         left, right = Leaf(node), Leaf(node)
         node.left, node.right = left, right
         if parent is None:

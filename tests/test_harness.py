@@ -1,4 +1,6 @@
+import json
 import random
+import struct
 import subprocess
 import sys
 
@@ -7,7 +9,7 @@ import pytest
 from cmt.cli import main
 from cmt.learners import ScorerModel
 from cmt.runner import RunConfig, cmd_ablate, cmd_bench, cmd_test, cmd_train, load_dataset
-from cmt.snapshot import SnapshotError, snapshot_load, snapshot_load_full, snapshot_save
+from cmt.snapshot import MAGIC, SnapshotError, snapshot_load, snapshot_load_full, snapshot_save
 from cmt.synth import random_keys
 from cmt.tree import Memory, Tree
 
@@ -115,6 +117,24 @@ def test_snapshot_with_a_repeated_key_errors(tmp_path, monkeypatch):
         snapshot_load(str(snap))
 
 
+def header_span(data: bytes) -> tuple[int, int]:
+    """Start and end offsets of a snapshot's JSON header."""
+    start = len(MAGIC) + 8
+    return start, start + struct.unpack_from("<I", data, start - 4)[0]
+
+
+def read_header(data: bytes) -> dict:
+    start, end = header_span(data)
+    return json.loads(data[start:end])
+
+
+def with_header(data: bytes, header: dict) -> bytes:
+    """The snapshot `data` with its JSON header replaced by `header`."""
+    start, end = header_span(data)
+    blob = json.dumps(header).encode("utf-8")
+    return data[:start - 4] + struct.pack("<I", len(blob)) + blob + data[end:]
+
+
 def test_snapshot_round_trip_is_byte_stable(tmp_path):
     t = build_tree(50, seed=8)
     a, b = tmp_path / "a.snap", tmp_path / "b.snap"
@@ -122,6 +142,7 @@ def test_snapshot_round_trip_is_byte_stable(tmp_path):
     loaded = snapshot_load(str(a))
     snapshot_save(loaded, str(b))
     assert a.read_bytes() == b.read_bytes()
+    assert "base_rate" not in read_header(a.read_bytes())
 
 
 # -- train / test ----------------------------------------------------------------
@@ -351,6 +372,39 @@ def test_cli_snapshot_error_exit_code(tmp_path):
         "test", "--data", str(data), "--snapshot", str(tmp_path / "no.snap"),
     ]) == 4
 
+    good = tmp_path / "good.snap"
+    snapshot_save(Tree(), str(good))
+    raw = good.read_bytes()
+    header = read_header(raw)
+    empty_model = struct.pack("<QQI", 0, 0, 0)
+    depth = 2000
+    nested = (
+        raw[:header_span(raw)[1]]
+        + empty_model  # the scorer
+        + (b"\x01" + struct.pack("<Q", 0) + empty_model) * depth
+        + (b"\x00" + struct.pack("<I", 0)) * (depth + 1)
+        + struct.pack("<I", 0) + b"ENDS"
+    )
+    one = tmp_path / "one.snap"
+    stored = Tree(d=0)
+    stored.insert(Memory(random_keys(1)[0], 0))
+    snapshot_save(stored, str(one))
+    one_raw = one.read_bytes()
+    vector_len = header_span(one_raw)[1] + len(empty_model) + 5  # past the scorer and leaf head
+    bad = {
+        "huge_vector": one_raw[:vector_len] + struct.pack("<I", 0xFFFFFFFF)
+        + one_raw[vector_len + 4:],
+        "no_alpha": with_header(raw, {k: v for k, v in header.items() if k != "alpha"}),
+        "alpha_5": with_header(raw, {**header, "alpha": 5.0}),
+        "rng_int": with_header(raw, {**header, "rng_state": 3}),
+        "nested": nested,
+        "version_1": MAGIC + struct.pack("<I", 1),
+    }
+    for name, blob in bad.items():
+        snap = tmp_path / f"{name}.snap"
+        snap.write_bytes(blob)
+        assert main(["test", "--data", str(data), "--snapshot", str(snap)]) == 4, name
+
 
 def test_cli_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as exc:
@@ -360,6 +414,12 @@ def test_cli_usage_error_exit_code(tmp_path):
     assert main([
         "ablate", "--param", "d", "--values", "",
         "--data", "synth:multiclass?classes=2&shots=1",
+    ]) == 2
+    # an out-of-range hash width, whatever the data source
+    data = write_multiclass_file(tmp_path / "t.vw", classes=2, shots=1)
+    assert main(["train", "--hash-bits", "40", "--data", str(data)]) == 2
+    assert main([
+        "train", "--hash-bits", "40", "--data", "synth:multiclass?classes=2&shots=1",
     ]) == 2
 
 

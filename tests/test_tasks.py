@@ -43,6 +43,11 @@ def test_mc_step_on_empty_tree_misses_then_stores():
     assert len(t) == 1
 
 
+def test_mc_step_rejects_an_unknown_mode():
+    with pytest.raises(ValueError):
+        mc_step(euclidean_tree(), MulticlassExample(sv({1: 1.0}), 3), 0.0, "insert_only")
+
+
 def test_mc_step_exact_hit():
     t = euclidean_tree()
     x = sv({1: 1.0})
