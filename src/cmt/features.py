@@ -102,7 +102,12 @@ class SparseVector:
         return zip(self.indices, self.values)
 
     def norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.values))
+        # a plain left-to-right sum: Python 3.12's sum() compensates, and
+        # learners._pair_map accumulates ||key||^2 in this exact order
+        total = 0.0
+        for v in self.values:
+            total += v * v
+        return math.sqrt(total)
 
     def to_bytes(self) -> bytes:
         """Canonical byte serialization: packed indices then packed values."""

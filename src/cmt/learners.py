@@ -9,8 +9,9 @@ with squared loss over a pairwise feature map.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
-from .features import SparseVector, dot, l2_distance
+from .features import SparseVector, l2_distance
 
 # One global AdaGrad step size: per-feature adaptive steps let every router,
 # label scorer and the leaf scorer share it.
@@ -46,23 +47,26 @@ class LinearModel:
         self.mistake_count = 0
 
     def raw(self, x: SparseVector) -> float:
-        w = self.weights
-        total = 0.0
-        for i, v in zip(x.indices, x.values):
-            wi = w.get(i)
-            if wi is not None:
-                total += wi * v
-        return total
+        return _weighted_sum(self.weights, x.indices, x.values)
 
-    def _step(self, x: SparseVector, dloss_dscore: float) -> None:
-        # dloss_dscore is the derivative of the loss wrt the linear score;
-        # the per-feature gradient is dloss_dscore * x_i.
+    def _step(self, x: SparseVector, dloss_dscore: float) -> float:
+        """One AdaGrad step; returns raw(x) at the new weights.
+
+        dloss_dscore is the derivative of the loss wrt the linear score; the
+        per-feature gradient is dloss_dscore * x_i. Every index of x holds a
+        weight after its own step, so summing w_i * x_i in x's order here
+        gives raw(x) bit for bit.
+        """
         w, g2, rate = self.weights, self.grad_sq, BASE_RATE
+        total = 0.0
         for i, v in zip(x.indices, x.values):
             g = dloss_dscore * v
             acc = g2.get(i, 0.0) + g * g
             g2[i] = acc
-            w[i] = w.get(i, 0.0) - rate / math.sqrt(acc + 1.0) * g
+            wi = w.get(i, 0.0) - rate / math.sqrt(acc + 1.0) * g
+            w[i] = wi
+            total += wi * v
+        return total
 
 
 class RouterModel(LinearModel):
@@ -72,9 +76,12 @@ class RouterModel(LinearModel):
         """Hard decision in {-1, +1}; a tied score of 0 predicts -1 (left)."""
         return 1 if self.raw(x) > 0.0 else -1
 
-    def update(self, x: SparseVector, y: int, importance: float) -> float:
+    def update(
+        self, x: SparseVector, y: int, importance: float, score: Optional[float] = None
+    ) -> float:
         """One importance-weighted logistic step toward y; returns the new raw(x).
 
+        `score` is raw(x) before the step when the caller already has it.
         A zero importance leaves all state untouched except the update count.
         The mistake counter compares the post-update prediction with y, so
         mistake_count / update_count is the progressive training error.
@@ -83,11 +90,12 @@ class RouterModel(LinearModel):
             raise ValueError("label must be -1 or +1")
         if not (importance >= 0.0 and math.isfinite(importance)):
             raise ValueError("importance must be finite and >= 0")
+        if score is None:
+            score = self.raw(x)
         self.update_count += 1
         if importance == 0.0:
-            return self.raw(x)
-        self._step(x, -importance * y * sigmoid(-y * self.raw(x)))
-        score = self.raw(x)
+            return score
+        score = self._step(x, -importance * y * sigmoid(-y * score))
         if (score > 0.0) != (y > 0):
             self.mistake_count += 1
         return score
@@ -99,6 +107,77 @@ class RouterModel(LinearModel):
         return self.mistake_count / self.update_count
 
 
+def _weighted_sum(weights: dict[int, float], indices, values) -> float:
+    """Sum of w_i * v_i over the indices that hold a weight, in the given order."""
+    total = 0.0
+    for i, v in zip(indices, values):
+        wi = weights.get(i)
+        if wi is not None:
+            total += wi * v
+    return total
+
+
+def _pair_map(x: SparseVector, nx: float, key: SparseVector) -> tuple[list[int], list[float]]:
+    """pair_features(x, key) as (indices, values) lists, given nx = x.norm().
+
+    One merge pass over both vectors accumulates the dot product, the squared
+    distance, ||key||^2 and the elementwise products; each sum runs in the
+    order of `dot`, `l2_distance` and `SparseVector.norm`, so the scalars
+    match theirs bit for bit.
+    """
+    indices = [PAIR_COSINE, PAIR_DISTANCE, PAIR_BIAS]
+    values = [0.0, 0.0, 1.0]
+    ai, av = x.indices, x.values
+    bi, bv = key.indices, key.values
+    i = j = 0
+    na, nb = len(ai), len(bi)
+    xk = dist_sq = key_sq = 0.0
+    while i < na and j < nb:
+        p, q = ai[i], bi[j]
+        if p == q:
+            a, b = av[i], bv[j]
+            prod = a * b
+            xk += prod
+            d = a - b
+            dist_sq += d * d
+            key_sq += b * b
+            if prod != 0.0:
+                indices.append(p + PAIR_PRODUCT_OFFSET)
+                values.append(prod)
+            i += 1
+            j += 1
+        elif p < q:
+            dist_sq += av[i] * av[i]
+            i += 1
+        else:
+            s = bv[j] * bv[j]
+            dist_sq += s
+            key_sq += s
+            j += 1
+    while i < na:
+        dist_sq += av[i] * av[i]
+        i += 1
+    while j < nb:
+        s = bv[j] * bv[j]
+        dist_sq += s
+        key_sq += s
+        j += 1
+
+    # drop the distance slot before the cosine slot so positions stay valid
+    dist = math.sqrt(dist_sq)
+    if dist != 0.0:
+        values[PAIR_DISTANCE] = dist / (1.0 + dist)
+    else:
+        del indices[PAIR_DISTANCE], values[PAIR_DISTANCE]
+    nk = math.sqrt(key_sq)
+    sim = 0.0 if nx == 0.0 or nk == 0.0 else xk / (nx * nk)
+    if sim != 0.0:
+        values[PAIR_COSINE] = sim
+    else:
+        del indices[PAIR_COSINE], values[PAIR_COSINE]
+    return indices, values
+
+
 def pair_features(x: SparseVector, key: SparseVector) -> SparseVector:
     """Deterministic feature map for scoring a (query, stored key) pair.
 
@@ -106,39 +185,7 @@ def pair_features(x: SparseVector, key: SparseVector) -> SparseVector:
     its own namespace) with three scalars: cosine similarity, a bounded
     distance d/(1+d), and a constant bias.
     """
-    nx, nk = x.norm(), key.norm()
-    sim = 0.0 if nx == 0.0 or nk == 0.0 else dot(x, key) / (nx * nk)
-    dist = l2_distance(x, key)
-
-    indices: list[int] = []
-    values: list[float] = []
-    if sim != 0.0:
-        indices.append(PAIR_COSINE)
-        values.append(sim)
-    if dist != 0.0:
-        indices.append(PAIR_DISTANCE)
-        values.append(dist / (1.0 + dist))
-    indices.append(PAIR_BIAS)
-    values.append(1.0)
-
-    ai, av = x.indices, x.values
-    bi, bv = key.indices, key.values
-    i = j = 0
-    na, nb = len(ai), len(bi)
-    while i < na and j < nb:
-        p, q = ai[i], bi[j]
-        if p == q:
-            prod = av[i] * bv[j]
-            if prod != 0.0:
-                indices.append(p + PAIR_PRODUCT_OFFSET)
-                values.append(prod)
-            i += 1
-            j += 1
-        elif p < q:
-            i += 1
-        else:
-            j += 1
-
+    indices, values = _pair_map(x, x.norm(), key)
     vec = SparseVector.__new__(SparseVector)
     vec.indices = tuple(indices)
     vec.values = tuple(values)
@@ -162,10 +209,16 @@ class ScorerModel(LinearModel):
         self.mode = mode
 
     def predict(self, x: SparseVector, key: SparseVector) -> float:
+        return self.predict_many(x, (key,))[0]
+
+    def predict_many(self, x: SparseVector, keys) -> list[float]:
+        """predict(x, key) for each key, computing ||x|| once for all of them."""
         if self.mode == SCORER_EUCLIDEAN:
-            return -l2_distance(x, key)
-        s = self.raw(pair_features(x, key))
-        return max(0.0, min(1.0, s))
+            return [-l2_distance(x, key) for key in keys]
+        w, nx = self.weights, x.norm()
+        return [
+            max(0.0, min(1.0, _weighted_sum(w, *_pair_map(x, nx, key)))) for key in keys
+        ]
 
     def update(self, x: SparseVector, key: SparseVector, r: float) -> None:
         if not (0.0 <= r <= 1.0):

@@ -16,7 +16,7 @@ import json
 import struct
 from typing import Any, BinaryIO, Optional
 
-from .features import SparseVector
+from .features import MODES, SparseVector, check_bits
 from .learners import LinearModel, RouterModel, ScorerModel
 from .tree import Internal, Leaf, Memory, Node, Tree
 
@@ -241,6 +241,8 @@ def snapshot_load_full(path: str) -> tuple[Tree, dict, dict[int, RouterModel]]:
                 replace_duplicates=header["replace_duplicates"],
             )
             tree.rng.setstate(_decode_rng_state(header["rng_state"]))
+            config = header.get("config", {})
+            _check_config(config)
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SnapshotError(f"bad header: {exc!r}") from exc
 
@@ -258,7 +260,19 @@ def snapshot_load_full(path: str) -> tuple[Tree, dict, dict[int, RouterModel]]:
     problems = tree.check_invariants()
     if problems:
         raise SnapshotError(f"snapshot failed validation: {problems[0]}")
-    return tree, header.get("config", {}), label_scorers
+    return tree, config, label_scorers
+
+
+def _check_config(config) -> None:
+    """Raise TypeError or ValueError unless a stored run config can steer a test run."""
+    if not isinstance(config, dict):
+        raise TypeError("config must be a JSON object")
+    if "mode" in config and config["mode"] not in MODES:
+        raise ValueError(f"unknown mode {config['mode']!r}")
+    if "hash_bits" in config:
+        if type(config["hash_bits"]) is not int:
+            raise TypeError("hash_bits must be an integer")
+        check_bits(config["hash_bits"])
 
 
 def _encode_rng_state(state) -> list:

@@ -269,10 +269,8 @@ class Tree:
 
     def top_k(self, leaf: Leaf, x: SparseVector, k: int) -> list[Memory]:
         """Best-scored min(k, |mem|) memories; exact score ties are shuffled."""
-        f = self.f
-        scored = sorted(
-            ((-f.predict(x, z.x), idx) for idx, z in enumerate(leaf.mem)),
-        )
+        scores = self.f.predict_many(x, [z.x for z in leaf.mem])
+        scored = sorted((-s, idx) for idx, s in enumerate(scores))
         # permute runs of equal score so ties are broken uniformly
         start = 0
         while start < len(scored):
@@ -359,8 +357,9 @@ class Tree:
     def _route_step(self, v: Internal, x: SparseVector) -> Node:
         """Count x at v, train v's router toward its target, return x's next node."""
         v.n += 1
-        target = self._router_target(v, v.g.raw(x))
-        score = v.g.update(x, 1 if target > 0.0 else -1, 1.0)
+        score = v.g.raw(x)
+        target = self._router_target(v, score)
+        score = v.g.update(x, 1 if target > 0.0 else -1, 1.0, score)
         return v.right if score > 0.0 else v.left
 
     def _insert_from(self, v: Node, z: Memory) -> None:
@@ -503,6 +502,8 @@ class Tree:
 
         def walk(node: Node) -> int:
             if node.is_leaf:
+                if not node.mem and node is not self.root:
+                    problems.append("empty leaf below the root")  # _remove_fp splices these
                 if len(node.mem) > cap:
                     problems.append(f"leaf holds {len(node.mem)} memories, capacity {cap}")
                 for m in node.mem:

@@ -377,14 +377,15 @@ def test_cli_snapshot_error_exit_code(tmp_path):
     raw = good.read_bytes()
     header = read_header(raw)
     empty_model = struct.pack("<QQI", 0, 0, 0)
-    depth = 2000
-    nested = (
-        raw[:header_span(raw)[1]]
-        + empty_model  # the scorer
-        + (b"\x01" + struct.pack("<Q", 0) + empty_model) * depth
-        + (b"\x00" + struct.pack("<I", 0)) * (depth + 1)
-        + struct.pack("<I", 0) + b"ENDS"
-    )
+
+    def nested(depth):  # internal nodes down the left, an empty leaf on every side
+        return (
+            raw[:header_span(raw)[1]]
+            + empty_model  # the scorer
+            + (b"\x01" + struct.pack("<Q", 0) + empty_model) * depth
+            + (b"\x00" + struct.pack("<I", 0)) * (depth + 1)
+            + struct.pack("<I", 0) + b"ENDS"
+        )
     one = tmp_path / "one.snap"
     stored = Tree(d=0)
     stored.insert(Memory(random_keys(1)[0], 0))
@@ -397,8 +398,12 @@ def test_cli_snapshot_error_exit_code(tmp_path):
         "no_alpha": with_header(raw, {k: v for k, v in header.items() if k != "alpha"}),
         "alpha_5": with_header(raw, {**header, "alpha": 5.0}),
         "rng_int": with_header(raw, {**header, "rng_state": 3}),
-        "nested": nested,
+        "nested": nested(2000),
+        "empty_leaves": nested(50),
         "version_1": MAGIC + struct.pack("<I", 1),
+        "config_list": with_header(raw, {**header, "config": [1]}),
+        "hash_bits_str": with_header(raw, {**header, "config": {"hash_bits": "x"}}),
+        "hash_bits_40": with_header(raw, {**header, "config": {"hash_bits": 40}}),
     }
     for name, blob in bad.items():
         snap = tmp_path / f"{name}.snap"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmt.features import SparseVector, cosine, l2_distance
+from cmt.features import SparseVector, cosine, dot, l2_distance
 from cmt.learners import (
     PAIR_BIAS,
     PAIR_COSINE,
@@ -246,3 +246,71 @@ def test_router_update_sparsity(pairs, y, importance):
     g.update(x, y, importance)
     assert g.weights[999] == 0.25
     assert set(g.weights) - {999} <= set(x.indices)
+
+
+# -- score reuse: exact equalities with the plain definitions ------------------
+
+# arbitrary (non-dyadic) values, so any change in summation order shows;
+# a narrow index range makes overlapping supports common
+small_vector = st.builds(
+    SparseVector.from_pairs,
+    st.lists(st.tuples(st.integers(0, 8), st.floats(-4.0, 4.0)), max_size=6),
+)
+# a disjoint support: indices that small_vector never draws
+far_vector = st.builds(
+    SparseVector.from_pairs,
+    st.lists(st.tuples(st.integers(100, 104), st.floats(-4.0, 4.0)), min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(small_vector, st.sampled_from([-1, 1]), st.floats(0.0, 4.0)),
+                min_size=1, max_size=8))
+def test_router_update_returns_raw_after_the_step(steps):
+    fresh, given_score = RouterModel(), RouterModel()
+    for x, y, importance in steps:
+        a = fresh.update(x, y, importance)
+        b = given_score.update(x, y, importance, given_score.raw(x))
+        assert a == fresh.raw(x)
+        assert b == given_score.raw(x)
+        assert a == b
+    assert (fresh.weights, fresh.grad_sq, fresh.mistake_count) == (
+        given_score.weights, given_score.grad_sq, given_score.mistake_count)
+
+
+def reference_pair_features(x, key):
+    """pair_features written out with dot, l2_distance and norm."""
+    nx, nk = x.norm(), key.norm()
+    sim = 0.0 if nx == 0.0 or nk == 0.0 else dot(x, key) / (nx * nk)
+    dist = l2_distance(x, key)
+    pairs = [(PAIR_COSINE, sim)] if sim != 0.0 else []
+    if dist != 0.0:
+        pairs.append((PAIR_DISTANCE, dist / (1.0 + dist)))
+    pairs.append((PAIR_BIAS, 1.0))
+    for i, v in zip(x.indices, x.values):
+        for j, u in zip(key.indices, key.values):
+            if i == j and v * u != 0.0:
+                pairs.append((i + PAIR_PRODUCT_OFFSET, v * u))
+    return SparseVector(*zip(*pairs))
+
+
+@settings(max_examples=200)
+@given(small_vector, small_vector, far_vector)
+def test_pair_features_match_the_separate_definitions(x, key, far):
+    for k in (key, far, x, SparseVector()):
+        assert pair_features(x, k) == reference_pair_features(x, k)
+
+
+@settings(max_examples=200)
+@given(small_vector, st.lists(small_vector, max_size=5), far_vector,
+       st.lists(st.tuples(small_vector, small_vector, st.floats(0.0, 1.0)), max_size=6))
+def test_scorer_batch_equals_clamped_raw_pair_score(x, keys, far, updates):
+    f = ScorerModel()
+    for q, k, r in updates:
+        f.update(q, k, r)
+    keys = keys + [far, x, SparseVector()]
+    expected = [max(0.0, min(1.0, f.raw(pair_features(x, k)))) for k in keys]
+    assert f.predict_many(x, keys) == expected
+    assert [f.predict(x, k) for k in keys] == expected
+    euclidean = ScorerModel(mode="euclidean")
+    assert euclidean.predict_many(x, keys) == [-l2_distance(x, k) for k in keys]

@@ -405,9 +405,9 @@ def test_forced_split_fallback_keeps_both_children_nonempty():
     assert got.memories[0].key_fingerprint == z2.key_fingerprint
 
 
-def test_insert_scores_each_router_at_most_three_times_per_update(monkeypatch):
-    # one score for the target, one for the logistic margin, one after the
-    # step that both counts mistakes and picks the child
+def test_insert_scores_each_router_once_per_update(monkeypatch):
+    # one score serves the target and the logistic margin; the step itself
+    # returns the post-update score that counts mistakes and picks the child
     calls = {"raw": 0, "update": 0}
     raw, update = RouterModel.raw, RouterModel.update
 
@@ -415,9 +415,9 @@ def test_insert_scores_each_router_at_most_three_times_per_update(monkeypatch):
         calls["raw"] += 1
         return raw(self, x)
 
-    def counting_update(self, x, y, importance):
+    def counting_update(self, x, y, importance, score=None):
         calls["update"] += 1
-        return update(self, x, y, importance)
+        return update(self, x, y, importance, score)
 
     monkeypatch.setattr(RouterModel, "raw", counting_raw)
     monkeypatch.setattr(RouterModel, "update", counting_update)
@@ -426,7 +426,7 @@ def test_insert_scores_each_router_at_most_three_times_per_update(monkeypatch):
         t.insert(z, 0)
     assert t.max_depth() >= 3  # several splits redistributed their leaves
     assert calls["update"] > 0
-    assert calls["raw"] <= 3 * calls["update"]
+    assert calls["raw"] <= calls["update"]
 
 
 # -- remove ----------------------------------------------------------------------
@@ -536,6 +536,12 @@ def test_check_invariants_detects_corrupt_count():
     problems = t.check_invariants()
     assert len(problems) == 1
     assert "subtree count" in problems[0]
+
+
+def test_check_invariants_detects_empty_leaf_below_root():
+    (z,) = random_memories(1, seed=25)
+    t = wire(euclidean_tree(), internal({}, leaf_of(z), leaf_of()))
+    assert t.check_invariants() == ["empty leaf below the root"]
 
 
 def test_self_consistency_single_memory():
