@@ -103,7 +103,7 @@ class SparseVector:
 
     def norm(self) -> float:
         # a plain left-to-right sum: Python 3.12's sum() compensates, and
-        # learners._pair_map accumulates ||key||^2 in this exact order
+        # learners._pair_map accumulates ||x||^2 and ||key||^2 in this order
         total = 0.0
         for v in self.values:
             total += v * v

@@ -117,21 +117,21 @@ def _weighted_sum(weights: dict[int, float], indices, values) -> float:
     return total
 
 
-def _pair_map(x: SparseVector, nx: float, key: SparseVector) -> tuple[list[int], list[float]]:
-    """pair_features(x, key) as (indices, values) lists, given nx = x.norm().
+def _pair_map(x: SparseVector, key: SparseVector) -> tuple[list[int], list[float]]:
+    """pair_features(x, key) as (indices, values) lists.
 
     One merge pass over both vectors accumulates the dot product, the squared
-    distance, ||key||^2 and the elementwise products; each sum runs in the
-    order of `dot`, `l2_distance` and `SparseVector.norm`, so the scalars
-    match theirs bit for bit.
+    distance, ||x||^2, ||key||^2 and the elementwise products; each sum runs
+    in the order of `dot`, `l2_distance` and `SparseVector.norm`, so the
+    scalars match theirs bit for bit.
     """
-    indices = [PAIR_COSINE, PAIR_DISTANCE, PAIR_BIAS]
-    values = [0.0, 0.0, 1.0]
+    prod_indices: list[int] = []
+    prod_values: list[float] = []
     ai, av = x.indices, x.values
     bi, bv = key.indices, key.values
     i = j = 0
     na, nb = len(ai), len(bi)
-    xk = dist_sq = key_sq = 0.0
+    xk = dist_sq = x_sq = key_sq = 0.0
     while i < na and j < nb:
         p, q = ai[i], bi[j]
         if p == q:
@@ -140,14 +140,17 @@ def _pair_map(x: SparseVector, nx: float, key: SparseVector) -> tuple[list[int],
             xk += prod
             d = a - b
             dist_sq += d * d
+            x_sq += a * a
             key_sq += b * b
             if prod != 0.0:
-                indices.append(p + PAIR_PRODUCT_OFFSET)
-                values.append(prod)
+                prod_indices.append(p + PAIR_PRODUCT_OFFSET)
+                prod_values.append(prod)
             i += 1
             j += 1
         elif p < q:
-            dist_sq += av[i] * av[i]
+            s = av[i] * av[i]
+            dist_sq += s
+            x_sq += s
             i += 1
         else:
             s = bv[j] * bv[j]
@@ -155,7 +158,9 @@ def _pair_map(x: SparseVector, nx: float, key: SparseVector) -> tuple[list[int],
             key_sq += s
             j += 1
     while i < na:
-        dist_sq += av[i] * av[i]
+        s = av[i] * av[i]
+        dist_sq += s
+        x_sq += s
         i += 1
     while j < nb:
         s = bv[j] * bv[j]
@@ -163,18 +168,21 @@ def _pair_map(x: SparseVector, nx: float, key: SparseVector) -> tuple[list[int],
         key_sq += s
         j += 1
 
-    # drop the distance slot before the cosine slot so positions stay valid
-    dist = math.sqrt(dist_sq)
-    if dist != 0.0:
-        values[PAIR_DISTANCE] = dist / (1.0 + dist)
-    else:
-        del indices[PAIR_DISTANCE], values[PAIR_DISTANCE]
-    nk = math.sqrt(key_sq)
+    nx, nk = math.sqrt(x_sq), math.sqrt(key_sq)
     sim = 0.0 if nx == 0.0 or nk == 0.0 else xk / (nx * nk)
+    dist = math.sqrt(dist_sq)
+    indices: list[int] = []
+    values: list[float] = []
     if sim != 0.0:
-        values[PAIR_COSINE] = sim
-    else:
-        del indices[PAIR_COSINE], values[PAIR_COSINE]
+        indices.append(PAIR_COSINE)
+        values.append(sim)
+    if dist != 0.0:
+        indices.append(PAIR_DISTANCE)
+        values.append(dist / (1.0 + dist))
+    indices.append(PAIR_BIAS)
+    values.append(1.0)
+    indices.extend(prod_indices)
+    values.extend(prod_values)
     return indices, values
 
 
@@ -185,7 +193,7 @@ def pair_features(x: SparseVector, key: SparseVector) -> SparseVector:
     its own namespace) with three scalars: cosine similarity, a bounded
     distance d/(1+d), and a constant bias.
     """
-    indices, values = _pair_map(x, x.norm(), key)
+    indices, values = _pair_map(x, key)
     vec = SparseVector.__new__(SparseVector)
     vec.indices = tuple(indices)
     vec.values = tuple(values)
@@ -209,16 +217,10 @@ class ScorerModel(LinearModel):
         self.mode = mode
 
     def predict(self, x: SparseVector, key: SparseVector) -> float:
-        return self.predict_many(x, (key,))[0]
-
-    def predict_many(self, x: SparseVector, keys) -> list[float]:
-        """predict(x, key) for each key, computing ||x|| once for all of them."""
         if self.mode == SCORER_EUCLIDEAN:
-            return [-l2_distance(x, key) for key in keys]
-        w, nx = self.weights, x.norm()
-        return [
-            max(0.0, min(1.0, _weighted_sum(w, *_pair_map(x, nx, key)))) for key in keys
-        ]
+            return -l2_distance(x, key)
+        s = _weighted_sum(self.weights, *_pair_map(x, key))
+        return max(0.0, min(1.0, s))
 
     def update(self, x: SparseVector, key: SparseVector, r: float) -> None:
         if not (0.0 <= r <= 1.0):

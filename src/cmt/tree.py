@@ -269,8 +269,10 @@ class Tree:
 
     def top_k(self, leaf: Leaf, x: SparseVector, k: int) -> list[Memory]:
         """Best-scored min(k, |mem|) memories; exact score ties are shuffled."""
-        scores = self.f.predict_many(x, [z.x for z in leaf.mem])
-        scored = sorted((-s, idx) for idx, s in enumerate(scores))
+        f = self.f
+        scored = sorted(
+            ((-f.predict(x, z.x), idx) for idx, z in enumerate(leaf.mem)),
+        )
         # permute runs of equal score so ties are broken uniformly
         start = 0
         while start < len(scored):

@@ -11,6 +11,7 @@ import struct
 from hashlib import blake2b
 from pathlib import Path
 
+from cmt.features import SparseVector
 from cmt.learners import ScorerModel
 from cmt.runner import RunConfig, cmd_test, cmd_train
 from cmt.snapshot import snapshot_save
@@ -26,6 +27,8 @@ RUNS = {
 GOLDEN = {
     "euclidean.snap": "9bdaccb666d1e78fc864ca89f1e9f164",
     "euclidean.reads": "81f992f34a880d62a3ea40780c9cb2db",
+    "learned.snap": "f9be1900b2035b9962dd090aab00b099",
+    "learned.reads": "64292e2e3e10d4241d7556598f41e175",
     "multiclass.snap": "cb759d21275a3f5ba02a1f5276b334d8",
     "multiclass.train.tsv": "63f520f8c83b300ab942497e53250738",
     "multiclass.test.tsv": "84a2600b0c49452064e0c6a4ff368561",
@@ -62,9 +65,39 @@ def euclidean_churn() -> dict[str, bytes]:
     return {"euclidean.snap": Path("euclidean.snap").read_bytes(), "euclidean.reads": answers}
 
 
+def sparse_keys(n: int, seed: int) -> list[SparseVector]:
+    """Keys whose supports differ: every synth vector shares one index set."""
+    rng = random.Random(seed)
+    out = []
+    for x in random_keys(n, seed=seed):
+        kept = [(i, v) for i, v in x.items() if rng.random() < 0.5]
+        out.append(SparseVector(*zip(*kept)) if kept else SparseVector())
+    return out
+
+
+def learned_sparse() -> dict[str, bytes]:
+    """A learned-scorer store trained on rewards over keys of differing supports."""
+    t = Tree(d=2, seed=9)
+    keys = sparse_keys(300, seed=9)
+    for i, x in enumerate(keys):
+        if not t.contains(x):
+            t.insert(Memory(x, i))
+    for i, x in enumerate(sparse_keys(200, seed=10)):
+        result = t.query(x, 3, 0.5)
+        for z in result.memories:
+            t.update(x, z, 1.0 if z.value % 2 == i % 2 else 0.0, result.key)
+    snapshot_save(t, "learned.snap")
+    answers = b"".join(
+        struct.pack("<Q", z.key_fingerprint)
+        for x in sparse_keys(50, seed=11)
+        for z in t.query(x, 3, 0.0).memories
+    )
+    return {"learned.snap": Path("learned.snap").read_bytes(), "learned.reads": answers}
+
+
 def test_seeded_outputs_match_golden_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # relative paths keep the saved run config path-free
-    outputs = euclidean_churn()
+    outputs = {**euclidean_churn(), **learned_sparse()}
     for mode, (uri, update_on_exploit) in RUNS.items():
         common = dict(mode=mode, data=uri, seed=1, snapshot=f"{mode}.snap")
         cmd_train(RunConfig(**common, update_on_exploit=update_on_exploit,

@@ -404,11 +404,15 @@ def test_cli_snapshot_error_exit_code(tmp_path):
         "config_list": with_header(raw, {**header, "config": [1]}),
         "hash_bits_str": with_header(raw, {**header, "config": {"hash_bits": "x"}}),
         "hash_bits_40": with_header(raw, {**header, "config": {"hash_bits": 40}}),
+        "mode_bogus": with_header(raw, {**header, "config": {"mode": "bogus"}}),
     }
     for name, blob in bad.items():
         snap = tmp_path / f"{name}.snap"
         snap.write_bytes(blob)
         assert main(["test", "--data", str(data), "--snapshot", str(snap)]) == 4, name
+        if name.startswith(("config", "hash_bits", "mode")):
+            with pytest.raises(SnapshotError, match="bad header"):
+                snapshot_load_full(str(snap))
 
 
 def test_cli_usage_error_exit_code(tmp_path):

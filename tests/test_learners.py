@@ -304,13 +304,12 @@ def test_pair_features_match_the_separate_definitions(x, key, far):
 @settings(max_examples=200)
 @given(small_vector, st.lists(small_vector, max_size=5), far_vector,
        st.lists(st.tuples(small_vector, small_vector, st.floats(0.0, 1.0)), max_size=6))
-def test_scorer_batch_equals_clamped_raw_pair_score(x, keys, far, updates):
+def test_scorer_predict_equals_clamped_raw_pair_score(x, keys, far, updates):
     f = ScorerModel()
     for q, k, r in updates:
         f.update(q, k, r)
     keys = keys + [far, x, SparseVector()]
     expected = [max(0.0, min(1.0, f.raw(pair_features(x, k)))) for k in keys]
-    assert f.predict_many(x, keys) == expected
     assert [f.predict(x, k) for k in keys] == expected
     euclidean = ScorerModel(mode="euclidean")
-    assert euclidean.predict_many(x, keys) == [-l2_distance(x, k) for k in keys]
+    assert [euclidean.predict(x, k) for k in keys] == [-l2_distance(x, k) for k in keys]
