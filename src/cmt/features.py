@@ -185,18 +185,26 @@ def check_bits(bits: int) -> None:
         raise ValueError("bits must be in [1, 31]")
 
 
-def hash_features(tokens, bits: int = DEFAULT_BITS) -> SparseVector:
-    """Hash (name, value) tokens into a 2**bits feature space.
+def feature_indices(names, bits: int = DEFAULT_BITS) -> list[int]:
+    """The hashed index of each feature name, in order.
 
-    Names are digested with 64-bit FNV-1a and masked to the low `bits` bits;
-    colliding names have their values summed, and a sum that overflows
-    raises ValueError.
+    A name is digested with 64-bit FNV-1a and masked to the low `bits` bits,
+    so its index depends on the name alone.
     """
     check_bits(bits)
     mask = (1 << bits) - 1
-    return SparseVector.from_pairs(
-        (fnv1a64(name.encode("utf-8")) & mask, value) for name, value in tokens
-    )
+    return [fnv1a64(name.encode("utf-8")) & mask for name in names]
+
+
+def hash_features(tokens, bits: int = DEFAULT_BITS) -> SparseVector:
+    """Hash (name, value) tokens into a 2**bits feature space.
+
+    Each name goes to its `feature_indices` index; colliding names have
+    their values summed, and a sum that overflows raises ValueError.
+    """
+    pairs = list(tokens)
+    indices = feature_indices([name for name, _ in pairs], bits)
+    return SparseVector.from_pairs(zip(indices, [value for _, value in pairs]))
 
 
 @dataclass(frozen=True)
@@ -229,7 +237,7 @@ class LabeledLine:
     def left_block(self, bits: int = DEFAULT_BITS) -> SparseVector:
         if self.mode != MODE_RETRIEVAL:
             raise ValueError("left feature block is only defined for retrieval lines")
-        return _hash_block(self.left_tokens, bits, 0)
+        return _hash_pairs([_split_token(t, 0) for t in self.left_tokens], bits, 0)
 
 
 def _split_token(token: str, lineno: int) -> tuple[str, float]:
@@ -247,8 +255,7 @@ def _split_token(token: str, lineno: int) -> tuple[str, float]:
     return name, value
 
 
-def _hash_block(tokens: tuple[str, ...], bits: int, lineno: int) -> SparseVector:
-    pairs = [_split_token(t, lineno) for t in tokens]
+def _hash_pairs(pairs: list[tuple[str, float]], bits: int, lineno: int) -> SparseVector:
     check_bits(bits)  # a bad width is the caller's error, not the line's
     try:
         return hash_features(pairs, bits)
@@ -256,13 +263,12 @@ def _hash_block(tokens: tuple[str, ...], bits: int, lineno: int) -> SparseVector
         raise ParseError(f"colliding feature values overflow: {exc}", lineno) from None
 
 
-def _parse_features(block: str, lineno: int) -> tuple[str, ...]:
+def _parse_features(block: str, lineno: int) -> tuple[tuple[str, ...], list[tuple[str, float]]]:
+    """The raw tokens of a feature block and their validated (name, value) pairs."""
     tokens = tuple(block.split(" "))
     if not block or any(not t for t in tokens):
         raise ParseError("empty feature token (check spacing)", lineno)
-    for t in tokens:
-        _split_token(t, lineno)
-    return tokens
+    return tokens, [_split_token(t, lineno) for t in tokens]
 
 
 def parse_line(text: str, mode: str, bits: int = DEFAULT_BITS, lineno: int = 0) -> LabeledLine:
@@ -276,7 +282,7 @@ def parse_line(text: str, mode: str, bits: int = DEFAULT_BITS, lineno: int = 0) 
         raise ParseError("separator must be surrounded by single spaces", lineno)
     left, right = left[:-1], right[1:]
 
-    right_tokens = _parse_features(right, lineno)
+    right_tokens, right_pairs = _parse_features(right, lineno)
 
     if mode == MODE_MULTICLASS:
         if not _is_decimal(left):
@@ -287,10 +293,10 @@ def parse_line(text: str, mode: str, bits: int = DEFAULT_BITS, lineno: int = 0) 
         if not all(_is_decimal(t) for t in left_tokens):
             raise ParseError(f"bad multilabel block {left!r}", lineno)
     else:
-        left_tokens = _parse_features(left, lineno)
-        _hash_block(left_tokens, bits, lineno)  # its tokens may overflow too
+        left_tokens, left_pairs = _parse_features(left, lineno)
+        _hash_pairs(left_pairs, bits, lineno)  # its tokens may overflow too
 
-    return LabeledLine(mode, left_tokens, right_tokens, _hash_block(right_tokens, bits, lineno))
+    return LabeledLine(mode, left_tokens, right_tokens, _hash_pairs(right_pairs, bits, lineno))
 
 
 def render_line(line: LabeledLine) -> str:

@@ -1,10 +1,13 @@
 """Seeded synthetic datasets for benchmarks and acceptance runs.
 
 Each generator draws Gaussian cluster centers over a shared token
-vocabulary and hashes the resulting (token, value) lists into sparse
-vectors, so every dataset is reproducible from (parameters, seed) alone.
-Generators are also reachable from the CLI through `synth:` data URIs,
-e.g. `synth:multiclass?classes=100&shots=3&noise=0.1`.
+vocabulary and hashes the resulting rows into sparse vectors, so every
+dataset is reproducible from (parameters, seed) alone. Row j's column names
+are `f0`..`f{dim-1}` (`q`/`v` for retrieval queries and values); they are
+hashed once per split, and every vector of a split shares one index set,
+less the entries of a row that are exactly zero. Generators are also
+reachable from the CLI through `synth:` data URIs, e.g.
+`synth:multiclass?classes=100&shots=3&noise=0.1`.
 """
 
 from __future__ import annotations
@@ -13,19 +16,45 @@ from urllib.parse import parse_qsl, urlparse
 
 import numpy as np
 
-from .features import DEFAULT_BITS, SparseVector, hash_features
+from .features import DEFAULT_BITS, SparseVector, feature_indices
 from .tasks import MulticlassExample, MultilabelExample, RetrievalPair
 
 
-def _hash_row(prefix: str, row: np.ndarray, bits: int) -> SparseVector:
-    return hash_features([(f"{prefix}{j}", float(v)) for j, v in enumerate(row)], bits)
+def _hash_rows(prefix: str, rows: np.ndarray, bits: int) -> list[SparseVector]:
+    """Hash each row of an (n, dim) array into a sparse vector.
+
+    Column j is the token named f"{prefix}{j}". Each column name is hashed
+    once; colliding columns are summed in column order from 0.0, the same
+    float additions `hash_features` makes for one row, and exact zeros are
+    dropped. Rows without zeros share one indices tuple. A non-finite sum
+    raises ValueError.
+    """
+    buckets = feature_indices([f"{prefix}{j}" for j in range(rows.shape[1])], bits)
+    indices = tuple(sorted(set(buckets)))
+    slot = {index: k for k, index in enumerate(indices)}
+    acc = np.zeros((rows.shape[0], len(indices)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, index in enumerate(buckets):
+            acc[:, slot[index]] += rows[:, j]
+    if not np.isfinite(acc).all():
+        raise ValueError("values must be finite")
+    out = []
+    for values in acc.tolist():
+        vec = SparseVector.__new__(SparseVector)
+        if 0.0 in values:
+            vec.indices = tuple(i for i, v in zip(indices, values) if v != 0.0)
+            vec.values = tuple(v for v in values if v != 0.0)
+        else:
+            vec.indices = indices
+            vec.values = tuple(values)
+        out.append(vec)
+    return out
 
 
 def random_keys(n: int, dim: int = 16, bits: int = DEFAULT_BITS, seed: int = 0):
     """n independent Gaussian key vectors (unique with probability ~1)."""
     rng = np.random.default_rng(seed)
-    rows = rng.normal(0.0, 1.0, (n, dim))
-    return [_hash_row("f", row, bits) for row in rows]
+    return _hash_rows("f", rng.normal(0.0, 1.0, (n, dim)), bits)
 
 
 def multiclass_clusters(
@@ -43,12 +72,14 @@ def multiclass_clusters(
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.0, (classes, dim))
 
-    def draw(y: int) -> MulticlassExample:
-        row = centers[y] + noise * rng.normal(0.0, 1.0, dim)
-        return MulticlassExample(_hash_row("f", row, bits), y)
+    def draw(per_class: int) -> list[MulticlassExample]:
+        labels = [y for y in range(classes) for _ in range(per_class)]
+        rows = [centers[y] + noise * rng.normal(0.0, 1.0, dim) for y in labels]
+        xs = _hash_rows("f", np.reshape(rows, (len(rows), dim)), bits)
+        return [MulticlassExample(x, y) for x, y in zip(xs, labels)]
 
-    train = [draw(y) for y in range(classes) for _ in range(shots)]
-    test = [draw(y) for y in range(classes) for _ in range(test_per_class)]
+    train = draw(shots)
+    test = draw(test_per_class)
     order = rng.permutation(len(train))
     return [train[i] for i in order], test
 
@@ -75,12 +106,13 @@ def multilabel_topics(
     ]
 
     def draw(n: int) -> list[MultilabelExample]:
-        out = []
+        topic, rows = [], []
         for _ in range(n):
             t = int(rng.integers(topics))
-            row = centers[t] + noise * rng.normal(0.0, 1.0, dim)
-            out.append(MultilabelExample(_hash_row("f", row, bits), blocks[t]))
-        return out
+            topic.append(t)
+            rows.append(centers[t] + noise * rng.normal(0.0, 1.0, dim))
+        xs = _hash_rows("f", np.reshape(rows, (len(rows), dim)), bits)
+        return [MultilabelExample(x, blocks[t]) for x, t in zip(xs, topic)]
 
     return draw(examples), draw(test_examples)
 
@@ -99,14 +131,15 @@ def retrieval_corpus(
     rng = np.random.default_rng(seed)
 
     def draw(n: int) -> list[RetrievalPair]:
-        out = []
+        latents, queries = [], []
         for _ in range(n):
             latent = rng.normal(0.0, 1.0, dim)
-            query = latent + noise * rng.normal(0.0, 1.0, dim)
-            out.append(
-                RetrievalPair(_hash_row("q", query, bits), _hash_row("v", latent, bits))
-            )
-        return out
+            latents.append(latent)
+            queries.append(latent + noise * rng.normal(0.0, 1.0, dim))
+        shape = (len(latents), dim)
+        qs = _hash_rows("q", np.reshape(queries, shape), bits)
+        vs = _hash_rows("v", np.reshape(latents, shape), bits)
+        return [RetrievalPair(q, v) for q, v in zip(qs, vs)]
 
     return draw(pairs), draw(test_pairs)
 

@@ -137,19 +137,34 @@ class OASModel:
     def __init__(self):
         self.scorers: dict[int, RouterModel] = {}
 
-    def score(self, label: int, x: SparseVector) -> float:
-        scorer = self.scorers.get(label)
-        return scorer.raw(x) if scorer is not None else 0.0
+    def scores(self, candidates, x: SparseVector) -> dict[int, float]:
+        """Each candidate label's raw score for x; a label without a scorer scores 0.0."""
+        scorers = self.scorers
+        return {
+            label: scorers[label].raw(x) if label in scorers else 0.0 for label in candidates
+        }
 
-    def predict(self, candidates, x: SparseVector) -> set[int]:
-        return {label for label in candidates if self.score(label, x) > 0.0}
+    def predict(self, candidates, x: SparseVector, scores=None) -> set[int]:
+        """The candidates scoring above 0. `scores` is `self.scores(candidates, x)`
+        when the caller already has it."""
+        if scores is None:
+            scores = self.scores(candidates, x)
+        return {label for label in candidates if scores[label] > 0.0}
 
-    def update(self, candidates, x: SparseVector, truth: frozenset[int]) -> None:
+    def update(self, candidates, x: SparseVector, truth: frozenset[int], scores=None) -> None:
+        """One logistic step per candidate toward its membership in `truth`.
+
+        `scores` is `self.scores(candidates, x)` before the step when the
+        caller already has it: each label has its own scorer, so one label's
+        step leaves the others' scores as they were.
+        """
+        if scores is None:
+            scores = self.scores(candidates, x)
         for label in sorted(candidates):
             scorer = self.scorers.get(label)
             if scorer is None:
                 scorer = self.scorers[label] = RouterModel()
-            scorer.update(x, 1 if label in truth else -1, 1.0)
+            scorer.update(x, 1 if label in truth else -1, 1.0, scores[label])
 
 
 def oas_step(
@@ -169,10 +184,11 @@ def oas_step(
     candidates: set[int] = set()
     for z in result.memories:
         candidates |= z.value
-    predicted = oas.predict(candidates, ex.x)
+    scores = oas.scores(candidates, ex.x)
+    predicted = oas.predict(candidates, ex.x, scores)
     if train:
         if candidates:
-            oas.update(candidates, ex.x, ex.labels)
+            oas.update(candidates, ex.x, ex.labels, scores)
         if result.key is not None and result.memories:
             top = result.memories[0]
             t.update(ex.x, top, f1_reward(ex.labels, top.value), result.key)

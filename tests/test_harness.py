@@ -357,6 +357,16 @@ def test_cli_data_error_exit_code(tmp_path):
     assert main(["train", "--data", str(overflow)]) == 3
     overflow.write_text("q:1e308 q:1e308 | v:1\n", encoding="utf-8")
     assert main(["train", "--mode", "retrieval", "--data", str(overflow)]) == 3
+    # synth parameters that yield non-finite or impossible rows
+    for param in ("noise=inf", "noise=nan", "dim=-1"):
+        assert main(["train", "--data", f"synth:multiclass?classes=3&shots=2&{param}"]) == 3
+
+
+def test_cli_trains_on_zero_dimensional_synth_data(tmp_path):
+    assert main([
+        "train", "--data", "synth:multiclass?classes=3&shots=2&test_per_class=1&dim=0",
+        "--snapshot", str(tmp_path / "m.snap"), "--metrics", str(tmp_path / "m.tsv"),
+    ]) == 0
 
 
 def test_cli_parse_error_reports_line_number(tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cmt.features import SparseVector, l2_distance
-from cmt.learners import ScorerModel
+from cmt.learners import RouterModel, ScorerModel
 from cmt.tasks import (
     MulticlassExample,
     MultilabelExample,
@@ -176,6 +176,28 @@ def test_oas_candidates_bounded_by_leaf_content():
     for ex in train:
         _, candidates = oas_step(t, oas, ex, train=True, epsilon=0.1)
         assert len(candidates) <= t.capacity() * max_labels
+
+
+def test_oas_step_scores_each_label_once(monkeypatch):
+    train, _ = multilabel_topics(examples=120, labels=12, seed=6)
+    t = Tree(seed=6, d=1)
+    oas = OASModel()
+    for ex in train[:60]:
+        oas_step(t, oas, ex, train=True, epsilon=0.1)
+    scored = []
+    raw = RouterModel.raw
+
+    def counting_raw(self, x):
+        if self in oas.scorers.values():
+            scored.append(self)
+        return raw(self, x)
+
+    monkeypatch.setattr(RouterModel, "raw", counting_raw)
+    for ex in train[60:]:
+        before = len(scored)
+        _, candidates = oas_step(t, oas, ex, train=True, epsilon=0.1)
+        assert len(scored) - before <= len(candidates)
+    assert scored
 
 
 def test_oas_learns_topic_blocks():
