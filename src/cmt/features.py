@@ -102,8 +102,9 @@ class SparseVector:
         return zip(self.indices, self.values)
 
     def norm(self) -> float:
-        # a plain left-to-right sum: Python 3.12's sum() compensates, and
-        # learners._pair_map accumulates ||x||^2 and ||key||^2 in this order
+        # a plain left-to-right sum: Python 3.12's sum() compensates; the
+        # learned scorer takes ||x|| from here, and learners._pair_map sums
+        # ||key||^2 in the same order
         total = 0.0
         for v in self.values:
             total += v * v

@@ -47,7 +47,14 @@ class LinearModel:
         self.mistake_count = 0
 
     def raw(self, x: SparseVector) -> float:
-        return _weighted_sum(self.weights, x.indices, x.values)
+        """Sum of w_i * x_i over the indices of x that hold a weight, in x's order."""
+        w = self.weights
+        total = 0.0
+        for i, v in zip(x.indices, x.values):
+            wi = w.get(i)
+            if wi is not None:
+                total += wi * v
+        return total
 
     def _step(self, x: SparseVector, dloss_dscore: float) -> float:
         """One AdaGrad step; returns raw(x) at the new weights.
@@ -107,31 +114,24 @@ class RouterModel(LinearModel):
         return self.mistake_count / self.update_count
 
 
-def _weighted_sum(weights: dict[int, float], indices, values) -> float:
-    """Sum of w_i * v_i over the indices that hold a weight, in the given order."""
-    total = 0.0
-    for i, v in zip(indices, values):
-        wi = weights.get(i)
-        if wi is not None:
-            total += wi * v
-    return total
-
-
-def _pair_map(x: SparseVector, key: SparseVector) -> tuple[list[int], list[float]]:
-    """pair_features(x, key) as (indices, values) lists.
+def _pair_map(
+    x: SparseVector, key: SparseVector, x_norm: float
+) -> tuple[float, float, list[int], list[float]]:
+    """The pieces of pair_features(x, key): (cosine, distance, positions, products).
 
     One merge pass over both vectors accumulates the dot product, the squared
-    distance, ||x||^2, ||key||^2 and the elementwise products; each sum runs
-    in the order of `dot`, `l2_distance` and `SparseVector.norm`, so the
-    scalars match theirs bit for bit.
+    distance, ||key||^2 and the nonzero elementwise products a*b, listed with
+    their positions in x. `x_norm` is x.norm(). Each sum runs in the order of
+    `dot`, `l2_distance` and `SparseVector.norm`, so the scalars match theirs
+    bit for bit.
     """
-    prod_indices: list[int] = []
-    prod_values: list[float] = []
+    positions: list[int] = []
+    products: list[float] = []
     ai, av = x.indices, x.values
     bi, bv = key.indices, key.values
     i = j = 0
     na, nb = len(ai), len(bi)
-    xk = dist_sq = x_sq = key_sq = 0.0
+    xk = dist_sq = key_sq = 0.0
     while i < na and j < nb:
         p, q = ai[i], bi[j]
         if p == q:
@@ -140,17 +140,14 @@ def _pair_map(x: SparseVector, key: SparseVector) -> tuple[list[int], list[float
             xk += prod
             d = a - b
             dist_sq += d * d
-            x_sq += a * a
             key_sq += b * b
             if prod != 0.0:
-                prod_indices.append(p + PAIR_PRODUCT_OFFSET)
-                prod_values.append(prod)
+                positions.append(i)
+                products.append(prod)
             i += 1
             j += 1
         elif p < q:
-            s = av[i] * av[i]
-            dist_sq += s
-            x_sq += s
+            dist_sq += av[i] * av[i]
             i += 1
         else:
             s = bv[j] * bv[j]
@@ -158,9 +155,7 @@ def _pair_map(x: SparseVector, key: SparseVector) -> tuple[list[int], list[float
             key_sq += s
             j += 1
     while i < na:
-        s = av[i] * av[i]
-        dist_sq += s
-        x_sq += s
+        dist_sq += av[i] * av[i]
         i += 1
     while j < nb:
         s = bv[j] * bv[j]
@@ -168,9 +163,21 @@ def _pair_map(x: SparseVector, key: SparseVector) -> tuple[list[int], list[float
         key_sq += s
         j += 1
 
-    nx, nk = math.sqrt(x_sq), math.sqrt(key_sq)
-    sim = 0.0 if nx == 0.0 or nk == 0.0 else xk / (nx * nk)
-    dist = math.sqrt(dist_sq)
+    nk = math.sqrt(key_sq)
+    sim = 0.0 if x_norm == 0.0 or nk == 0.0 else xk / (x_norm * nk)
+    return sim, math.sqrt(dist_sq), positions, products
+
+
+def pair_features(x: SparseVector, key: SparseVector) -> SparseVector:
+    """Deterministic feature map for scoring a (query, stored key) pair.
+
+    Concatenates three scalars, cosine similarity, a bounded distance
+    d/(1+d) and a constant bias, with the nonzero elementwise products of
+    the two vectors (re-indexed into their own namespace). A zero cosine or
+    distance is left out. `ScorerModel.predict` scores the same features
+    without building this vector.
+    """
+    sim, dist, positions, products = _pair_map(x, key, x.norm())
     indices: list[int] = []
     values: list[float] = []
     if sim != 0.0:
@@ -181,23 +188,19 @@ def _pair_map(x: SparseVector, key: SparseVector) -> tuple[list[int], list[float
         values.append(dist / (1.0 + dist))
     indices.append(PAIR_BIAS)
     values.append(1.0)
-    indices.extend(prod_indices)
-    values.extend(prod_values)
-    return indices, values
-
-
-def pair_features(x: SparseVector, key: SparseVector) -> SparseVector:
-    """Deterministic feature map for scoring a (query, stored key) pair.
-
-    Concatenates the elementwise product of the two vectors (re-indexed into
-    its own namespace) with three scalars: cosine similarity, a bounded
-    distance d/(1+d), and a constant bias.
-    """
-    indices, values = _pair_map(x, key)
+    xi = x.indices
+    indices.extend([xi[i] + PAIR_PRODUCT_OFFSET for i in positions])
+    values.extend(products)
     vec = SparseVector.__new__(SparseVector)
     vec.indices = tuple(indices)
     vec.values = tuple(values)
     return vec
+
+
+# What ScorerModel.predict needs of a query, whatever the key:
+# (||x||, cosine weight, distance weight, bias weight, product weights), the
+# last aligned with x.indices. A weight the model does not hold is None.
+Prepared = tuple[float, Optional[float], Optional[float], Optional[float], list]
 
 
 class ScorerModel(LinearModel):
@@ -206,6 +209,10 @@ class ScorerModel(LinearModel):
     In "learned" mode this is a linear regressor over pair_features with
     predictions clamped to [0, 1]. In "euclidean" mode it is the fixed
     unsupervised score -||x - key||, and updates are ignored.
+
+    Scoring many keys against one query should `prepare` the query once and
+    pass the result to every `predict`: that looks up the query's weights
+    and norm once instead of once per key, with the same scores bit for bit.
     """
 
     __slots__ = ("mode",)
@@ -216,11 +223,45 @@ class ScorerModel(LinearModel):
         super().__init__()
         self.mode = mode
 
-    def predict(self, x: SparseVector, key: SparseVector) -> float:
+    def prepare(self, x: SparseVector) -> Optional[Prepared]:
+        """Everything predict(x, key) needs of x alone, at the current weights.
+
+        None in euclidean mode, which has nothing to prepare. Stale once the
+        weights change.
+        """
+        if self.mode == SCORER_EUCLIDEAN:
+            return None
+        w = self.weights.get
+        return (
+            x.norm(), w(PAIR_COSINE), w(PAIR_DISTANCE), w(PAIR_BIAS),
+            [w(i + PAIR_PRODUCT_OFFSET) for i in x.indices],
+        )
+
+    def predict(self, x: SparseVector, key: SparseVector, q: Optional[Prepared] = None) -> float:
+        """Score of returning `key` for `x`; `q` is prepare(x) when the caller has it.
+
+        The learned score is raw(pair_features(x, key)) clamped to [0, 1],
+        summed in the same order: cosine, distance, bias, then each product
+        term w * (a*b) in index order, skipping features without a weight.
+        """
         if self.mode == SCORER_EUCLIDEAN:
             return -l2_distance(x, key)
-        s = _weighted_sum(self.weights, *_pair_map(x, key))
-        return max(0.0, min(1.0, s))
+        if q is None:
+            q = self.prepare(x)
+        x_norm, w_cos, w_dist, w_bias, w_prod = q
+        sim, dist, positions, products = _pair_map(x, key, x_norm)
+        total = 0.0
+        if sim != 0.0 and w_cos is not None:
+            total += w_cos * sim
+        if dist != 0.0 and w_dist is not None:
+            total += w_dist * (dist / (1.0 + dist))
+        if w_bias is not None:
+            total += w_bias  # times the bias feature, 1.0
+        for i, prod in zip(positions, products):
+            wi = w_prod[i]
+            if wi is not None:
+                total += wi * prod
+        return max(0.0, min(1.0, total))
 
     def update(self, x: SparseVector, key: SparseVector, r: float) -> None:
         if not (0.0 <= r <= 1.0):

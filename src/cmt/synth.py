@@ -97,6 +97,8 @@ def multilabel_topics(
     """Topic-structured multilabel stream: each topic owns a disjoint block
     of `labels_per_topic` labels and a Gaussian center; an example carries
     its topic's full label block."""
+    if labels_per_topic < 1:
+        raise ValueError("labels_per_topic must be >= 1")
     topics = max(1, labels // labels_per_topic)
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.0, (topics, dim))
@@ -144,10 +146,12 @@ def retrieval_corpus(
     return draw(pairs), draw(test_pairs)
 
 
-_INT_PARAMS = {
+# sizes of the generated data: none may be negative
+_COUNT_PARAMS = {
     "classes", "shots", "test_per_class", "dim", "examples", "labels",
-    "labels_per_topic", "test_examples", "pairs", "test_pairs", "seed",
+    "labels_per_topic", "test_examples", "pairs", "test_pairs",
 }
+_INT_PARAMS = _COUNT_PARAMS | {"seed"}
 _FLOAT_PARAMS = {"noise"}
 
 
@@ -159,7 +163,8 @@ def generate(uri: str, bits: int = DEFAULT_BITS, seed: int = 0):
     """Materialize a `synth:KIND?param=value&...` URI into (train, test).
 
     KIND is multiclass, multilabel, or retrieval. The run seed is used
-    unless the URI carries its own `seed` parameter.
+    unless the URI carries its own `seed` parameter. A negative count or
+    an unknown parameter raises ValueError.
     """
     parsed = urlparse(uri)
     if parsed.scheme != "synth":
@@ -169,6 +174,8 @@ def generate(uri: str, bits: int = DEFAULT_BITS, seed: int = 0):
     for key, value in parse_qsl(parsed.query):
         if key in _INT_PARAMS:
             params[key] = int(value)
+            if key in _COUNT_PARAMS and params[key] < 0:
+                raise ValueError(f"synth parameter {key!r} must be >= 0")
         elif key in _FLOAT_PARAMS:
             params[key] = float(value)
         else:

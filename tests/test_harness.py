@@ -1,11 +1,14 @@
 import json
+import os
 import random
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cmt
 from cmt.cli import main
 from cmt.learners import ScorerModel
 from cmt.runner import RunConfig, cmd_ablate, cmd_bench, cmd_test, cmd_train, load_dataset
@@ -360,6 +363,12 @@ def test_cli_data_error_exit_code(tmp_path):
     # synth parameters that yield non-finite or impossible rows
     for param in ("noise=inf", "noise=nan", "dim=-1"):
         assert main(["train", "--data", f"synth:multiclass?classes=3&shots=2&{param}"]) == 3
+    # negative counts, and topics of zero labels
+    assert main(["train", "--data", "synth:multiclass?classes=3&shots=-1"]) == 3
+    for uri in ("synth:multilabel?examples=-1&labels=5",
+                "synth:multilabel?examples=5&labels=5&labels_per_topic=0"):
+        assert main(["train", "--mode", "multilabel", "--data", uri]) == 3
+    assert main(["train", "--mode", "retrieval", "--data", "synth:retrieval?pairs=-2&dim=3"]) == 3
 
 
 def test_cli_trains_on_zero_dimensional_synth_data(tmp_path):
@@ -444,11 +453,15 @@ def test_cli_usage_error_exit_code(tmp_path):
 
 def test_cli_module_entry_point(tmp_path):
     data = write_multiclass_file(tmp_path / "t.vw", classes=3, shots=1)
+    # the child imports the same cmt as this process, also when pytest's
+    # `pythonpath` setting rather than PYTHONPATH put it on sys.path
+    src = str(Path(cmt.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "cmt", "train", "--data", str(data),
          "--metrics", str(tmp_path / "m.tsv"), "--reroutes", "0"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "m.tsv").exists()

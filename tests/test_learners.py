@@ -313,3 +313,21 @@ def test_scorer_predict_equals_clamped_raw_pair_score(x, keys, far, updates):
     assert [f.predict(x, k) for k in keys] == expected
     euclidean = ScorerModel(mode="euclidean")
     assert [euclidean.predict(x, k) for k in keys] == [-l2_distance(x, k) for k in keys]
+
+
+# -- prepared queries: the per-read scorer context -------------------------------------------
+
+@settings(max_examples=200)
+@given(small_vector, st.lists(st.one_of(small_vector, far_vector), max_size=5),
+       st.lists(st.tuples(st.one_of(small_vector, far_vector), small_vector,
+                          st.floats(0.0, 1.0)), max_size=8))
+def test_prepared_predict_equals_predict_and_clamped_raw(x, keys, updates):
+    f = ScorerModel()
+    for q, k, r in updates:
+        f.update(q, k, r)
+    for query in (x, SparseVector()):
+        prepared = f.prepare(query)
+        for k in keys + [x, SparseVector()]:
+            expected = max(0.0, min(1.0, f.raw(pair_features(query, k))))
+            assert f.predict(query, k, prepared) == f.predict(query, k) == expected
+    assert ScorerModel(mode="euclidean").prepare(x) is None

@@ -94,3 +94,23 @@ def test_import_cmt_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, cmt; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+URI_COUNTS = {
+    "multiclass": ("classes", "shots", "test_per_class", "dim"),
+    "multilabel": ("examples", "labels", "labels_per_topic", "test_examples", "dim"),
+    "retrieval": ("pairs", "test_pairs", "dim"),
+}
+
+
+@pytest.mark.parametrize("kind,param", [(k, p) for k, ps in URI_COUNTS.items() for p in ps])
+def test_generate_rejects_a_negative_count(kind, param):
+    with pytest.raises(ValueError, match=param):
+        synth.generate(f"synth:{kind}?{param}=-1")
+
+
+def test_generate_accepts_zero_counts_but_not_empty_topics():
+    assert synth.generate("synth:multiclass?classes=0&shots=0") == ([], [])
+    assert synth.generate("synth:retrieval?pairs=0&dim=0") == ([], [])
+    with pytest.raises(ValueError, match="labels_per_topic"):
+        synth.generate("synth:multilabel?examples=5&labels=5&labels_per_topic=0")

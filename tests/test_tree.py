@@ -218,6 +218,28 @@ def test_top_k_breaks_ties_uniformly():
     assert 0.45 <= share <= 0.55
 
 
+@pytest.mark.parametrize("mode", ["learned", "euclidean"])
+def test_top_k_prepares_once_and_predicts_once_per_memory(monkeypatch, mode):
+    # the benchmark times leaf scoring through ScorerModel.predict by name,
+    # so a read must keep calling it once per memory
+    calls = {"prepare": [], "predict": []}
+    for name in calls:
+        original = getattr(ScorerModel, name)
+
+        def counted(self, x, *rest, _original=original, _log=calls[name]):
+            _log.append(x)
+            return _original(self, x, *rest)
+
+        monkeypatch.setattr(ScorerModel, name, counted)
+    memories = random_memories(7, seed=2)
+    leaf = leaf_of(*memories)
+    t = wire(Tree(scorer=ScorerModel(mode=mode), d=0), leaf)
+    x = random_memories(1, seed=9)[0].x
+    t.top_k(leaf, x, 3)
+    assert calls["prepare"] == [x]
+    assert calls["predict"] == [x] * len(memories)
+
+
 def test_rand_k_empty_and_overlarge():
     t = euclidean_tree()
     assert t.rand_k(t.root, sv({1: 1.0}), 4) == []
