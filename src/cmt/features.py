@@ -47,10 +47,15 @@ class SparseVector:
 
     Indices are strictly increasing, values are finite and nonzero. Use
     :meth:`from_pairs` for arbitrary input; the constructor trusts its
-    arguments apart from cheap validation.
+    arguments apart from cheap validation, and :meth:`trusted` skips even
+    that.
+
+    A vector caches its `fingerprint` the first time one is asked for. The
+    cache is only sound because a vector never changes after it is built:
+    code that rebinds `indices` or `values` of a built vector breaks it.
     """
 
-    __slots__ = ("indices", "values")
+    __slots__ = ("indices", "values", "_fingerprint")
 
     def __init__(self, indices: tuple[int, ...] = (), values: tuple[float, ...] = ()):
         if len(indices) != len(values):
@@ -65,6 +70,16 @@ class SparseVector:
                 raise ValueError("values must be finite and nonzero")
         self.indices = tuple(indices)
         self.values = tuple(float(v) for v in values)
+        self._fingerprint = None
+
+    @classmethod
+    def trusted(cls, indices: tuple[int, ...], values: tuple[float, ...]) -> "SparseVector":
+        """Wrap tuples already in canonical form, without checking them."""
+        vec = cls.__new__(cls)
+        vec.indices = indices
+        vec.values = values
+        vec._fingerprint = None
+        return vec
 
     @classmethod
     def from_pairs(cls, pairs) -> "SparseVector":
@@ -73,9 +88,7 @@ class SparseVector:
         for i, v in pairs:
             acc[i] = acc.get(i, 0.0) + float(v)
         keys = sorted(i for i, v in acc.items() if v != 0.0)
-        vec = cls.__new__(cls)
-        vec.indices = tuple(keys)
-        vec.values = tuple([acc[i] for i in keys])
+        vec = cls.trusted(tuple(keys), tuple([acc[i] for i in keys]))
         if not all(map(math.isfinite, vec.values)):
             raise ValueError("values must be finite")
         return vec
@@ -117,8 +130,15 @@ class SparseVector:
 
 
 def fingerprint(v: SparseVector) -> int:
-    """64-bit content digest of a vector's canonical serialization."""
-    return int.from_bytes(blake2b(v.to_bytes(), digest_size=8).digest(), "little")
+    """64-bit content digest of a vector's canonical serialization.
+
+    The first call on a vector computes the digest and caches it on the
+    vector; later calls return the cached value.
+    """
+    fp = v._fingerprint
+    if fp is None:
+        fp = v._fingerprint = int.from_bytes(blake2b(v.to_bytes(), digest_size=8).digest(), "little")
+    return fp
 
 
 def dot(a: SparseVector, b: SparseVector) -> float:

@@ -191,10 +191,7 @@ def pair_features(x: SparseVector, key: SparseVector) -> SparseVector:
     xi = x.indices
     indices.extend([xi[i] + PAIR_PRODUCT_OFFSET for i in positions])
     values.extend(products)
-    vec = SparseVector.__new__(SparseVector)
-    vec.indices = tuple(indices)
-    vec.values = tuple(values)
-    return vec
+    return SparseVector.trusted(tuple(indices), tuple(values))
 
 
 # What ScorerModel.predict needs of a query, whatever the key:

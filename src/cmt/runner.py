@@ -275,6 +275,13 @@ def load_dataset(config: RunConfig):
     return examples, []
 
 
+def _check_run(config: RunConfig) -> None:
+    """Raise ValueError on a setting no training run can use, before it reads data."""
+    if config.passes_unsup < 0 or config.passes_sup < 0:
+        raise ValueError("--passes-unsup and --passes-sup must be >= 0")
+    config.build_tree()  # the tree checks alpha, c and d
+
+
 def fit(config: RunConfig, task: Task, train: list) -> tuple[Tree, MetricLog]:
     """Insert-only passes, then supervised passes; returns the tree and its metrics."""
     tree = config.build_tree()
@@ -312,6 +319,7 @@ def evaluate(task: Task, tree: Tree, examples: list) -> tuple[dict[str, float], 
 
 def cmd_train(config: RunConfig) -> dict:
     """Insert-only passes, then supervised passes, then snapshot + metrics."""
+    _check_run(config)
     train, _ = load_dataset(config)
     task = make_task(config)
     started = time.perf_counter()
@@ -383,23 +391,11 @@ def cmd_ablate(config: RunConfig, param: str, values: list) -> list[dict]:
         raise ValueError(f"param must be one of {ABLATE_PARAMS}")
     if not values:
         raise ValueError("ablate needs at least one value")
+    configs = [_sweep_config(config, param, value) for value in values]
+    for cfg in configs:  # a bad value is refused before any run reads data
+        _check_run(cfg)
     rows: list[dict] = []
-    for value in values:
-        cfg = RunConfig(**asdict(config))
-        cfg.snapshot = None
-        cfg.metrics = None
-        if param == "d":
-            cfg.d = int(value)
-        elif param == "c":
-            cfg.c = float(value)
-        elif param == "passes":
-            cfg.passes_sup = int(value)
-        else:
-            if not (cfg.data and is_synth_uri(cfg.data)):
-                raise DataError("a shots sweep needs a synth:multiclass data URI")
-            sep = "&" if "?" in cfg.data else "?"
-            cfg.data = f"{cfg.data}{sep}shots={int(value)}"
-
+    for value, cfg in zip(values, configs):
         train, test = load_dataset(cfg)
         task = make_task(cfg)
         tree, _ = fit(cfg, task, train)
@@ -421,10 +417,31 @@ def cmd_ablate(config: RunConfig, param: str, values: list) -> list[dict]:
     return rows
 
 
+def _sweep_config(config: RunConfig, param: str, value) -> RunConfig:
+    """The config of one ablation run: `config` with `param` set to `value`."""
+    cfg = RunConfig(**asdict(config))
+    cfg.snapshot = None
+    cfg.metrics = None
+    if param == "d":
+        cfg.d = int(value)
+    elif param == "c":
+        cfg.c = float(value)
+    elif param == "passes":
+        cfg.passes_sup = int(value)
+    else:
+        if not (cfg.data and is_synth_uri(cfg.data)):
+            raise DataError("a shots sweep needs a synth:multiclass data URI")
+        sep = "&" if "?" in cfg.data else "?"
+        cfg.data = f"{cfg.data}{sep}shots={int(value)}"
+    return cfg
+
+
 def cmd_bench(config: RunConfig, sizes: list[int]) -> list[dict]:
     """Synthetic store scaling: build n memories, time inserts and queries."""
     from .synth import random_keys
 
+    if any(n < 1 for n in sizes):
+        raise ValueError("store sizes must be >= 1")
     rows: list[dict] = []
     for n in sizes:
         keys = random_keys(n, seed=config.seed, bits=config.hash_bits)

@@ -150,6 +150,7 @@ def _read_node(fh, tree: Tree, parent: Optional[Internal]) -> Node:
             z = _read_memory(fh)
             leaf.mem.append(z)
             tree._register(z, leaf)
+        tree._resize(leaf, 0)
         return leaf
     if tag != _NODE_INTERNAL:
         raise SnapshotError(f"unknown node tag {tag}")

@@ -40,13 +40,11 @@ def _hash_rows(prefix: str, rows: np.ndarray, bits: int) -> list[SparseVector]:
         raise ValueError("values must be finite")
     out = []
     for values in acc.tolist():
-        vec = SparseVector.__new__(SparseVector)
         if 0.0 in values:
-            vec.indices = tuple(i for i, v in zip(indices, values) if v != 0.0)
-            vec.values = tuple(v for v in values if v != 0.0)
+            vec = SparseVector.trusted(tuple(i for i, v in zip(indices, values) if v != 0.0),
+                                       tuple(v for v in values if v != 0.0))
         else:
-            vec.indices = indices
-            vec.values = tuple(values)
+            vec = SparseVector.trusted(indices, tuple(values))
         out.append(vec)
     return out
 

@@ -15,6 +15,7 @@ serialized; epsilon=0 queries are read-only apart from tie-breaking draws.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from random import Random
 from typing import Any, Iterator, NamedTuple, Optional, Union
@@ -157,8 +158,12 @@ class Tree:
     """Shared state: root node, scorer, key map, and the balance knobs.
 
     alpha in (0, 1] weights balance against predicted reward when training
-    routers, c scales the leaf capacity c * ln(stored), and d is the number
-    of reroute passes run after every insert or update.
+    routers, finite c > 0 scales the leaf capacity c * ln(stored), and d is
+    the number of reroute passes run after every insert or update.
+
+    Besides the key map, the tree keeps its non-empty leaves indexed by
+    memory count. A remove that shrinks the capacity finds the leaves now
+    over it in that index instead of walking every leaf.
     """
 
     def __init__(
@@ -172,8 +177,8 @@ class Tree:
     ):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if not c > 0.0:
-            raise ValueError("c must be positive")
+        if not (c > 0.0 and math.isfinite(c)):
+            raise ValueError("c must be finite and positive")
         if d < 0:
             raise ValueError("d must be >= 0")
         self.alpha = alpha
@@ -188,6 +193,8 @@ class Tree:
         # flat fingerprint index for O(1) uniform sampling in reroute
         self._fps: list[int] = []
         self._fp_pos: dict[int, int] = {}
+        # memory count -> the non-empty leaves holding exactly that many
+        self._leaves_by_size: defaultdict[int, set[Leaf]] = defaultdict(set)
 
     # -- sizing ------------------------------------------------------------
 
@@ -374,9 +381,17 @@ class Tree:
     def insert_leaf(self, leaf: Leaf, z: Memory) -> None:
         """Append z to a leaf, splitting the leaf if it outgrew capacity."""
         leaf.mem.append(z)
+        self._resize(leaf, len(leaf.mem) - 1)
         self._register(z, leaf)
         if len(leaf.mem) > self.capacity():
             self._split(leaf, protected=z)
+
+    def _resize(self, leaf: Leaf, old: int) -> None:
+        """Move a leaf from size bucket `old` to its current size (0: no bucket)."""
+        if old:
+            self._leaves_by_size[old].remove(leaf)
+        if leaf.mem:
+            self._leaves_by_size[len(leaf.mem)].add(leaf)
 
     def _register(self, z: Memory, leaf: Leaf) -> None:
         fp = z.key_fingerprint
@@ -394,6 +409,7 @@ class Tree:
         over (the memory whose insert triggered the split stays put so its
         own routing stays consistent).
         """
+        self._leaves_by_size[len(leaf.mem)].remove(leaf)
         parent = leaf.parent
         node = Internal(parent, RouterModel())
         left, right = Leaf(node), Leaf(node)
@@ -414,6 +430,7 @@ class Tree:
             self._rebalance_empty_child(node, protected)
         cap = self.capacity()
         for child in (left, right):
+            self._resize(child, 0)
             if len(child.mem) > cap:
                 keep = protected if protected is not None and protected in child.mem else None
                 self._split(child, keep)
@@ -435,11 +452,19 @@ class Tree:
     # -- remove ------------------------------------------------------------
 
     def remove(self, x: SparseVector) -> Memory:
-        """Delete the memory stored under x's fingerprint."""
+        """Delete the memory stored under x's fingerprint.
+
+        When the smaller store lowers the capacity, the leaves now over it
+        are exactly those in the size buckets between the new capacity and
+        the old, and only those split. Each split touches its own subtree
+        and draws nothing from `rng`, so their order does not matter.
+        """
         cap_before = self.capacity()
         z = self._remove_fp(fingerprint(x))
-        if self.capacity() < cap_before:
-            self._enforce_capacity()
+        cap = self.capacity()
+        for size in range(cap + 1, cap_before + 1):
+            for leaf in list(self._leaves_by_size.get(size, ())):
+                self._split(leaf, protected=None)
         return z
 
     def _remove_fp(self, fp: int) -> Memory:
@@ -459,6 +484,7 @@ class Tree:
                 break
         else:
             raise AssertionError("key map points at a leaf that lacks the memory")
+        self._resize(leaf, len(leaf.mem) + 1)
         node = leaf.parent
         while node is not None:
             node.n -= 1
@@ -468,7 +494,8 @@ class Tree:
         return z
 
     def _splice(self, leaf: Leaf) -> None:
-        # counts above were already decremented; the parent simply vanishes
+        # counts above were already decremented and the empty leaf already
+        # left the size index; the parent simply vanishes
         parent = leaf.parent
         sibling = parent.right if parent.left is leaf else parent.left
         grand = parent.parent
@@ -479,12 +506,6 @@ class Tree:
             grand.left = sibling
         else:
             grand.right = sibling
-
-    def _enforce_capacity(self) -> None:
-        # capacity shrank with the store; split any leaf left over the line
-        cap = self.capacity()
-        for leaf in [l for l in self.leaves() if len(l.mem) > cap]:
-            self._split(leaf, protected=None)
 
     # -- reroute -----------------------------------------------------------
 
@@ -503,13 +524,21 @@ class Tree:
         problems: list[str] = []
         cap = self.capacity()
         seen: dict[int, Leaf] = {}
+        by_size = self._leaves_by_size
+        filled = 0
 
         def walk(node: Node) -> int:
+            nonlocal filled
             if node.is_leaf:
-                if not node.mem and node is not self.root:
+                size = len(node.mem)
+                if size:
+                    filled += 1
+                    if node not in by_size.get(size, ()):
+                        problems.append(f"leaf of {size} memories missing from the size index")
+                elif node is not self.root:
                     problems.append("empty leaf below the root")  # _remove_fp splices these
-                if len(node.mem) > cap:
-                    problems.append(f"leaf holds {len(node.mem)} memories, capacity {cap}")
+                if size > cap:
+                    problems.append(f"leaf holds {size} memories, capacity {cap}")
                 for m in node.mem:
                     fp = m.key_fingerprint
                     if fp in seen:
@@ -517,7 +546,7 @@ class Tree:
                     seen[fp] = node
                     if self.M.get(fp) is not node:
                         problems.append(f"map entry for {fp:#x} does not point at its leaf")
-                return len(node.mem)
+                return size
             for child in (node.left, node.right):
                 if child is None:
                     problems.append("internal node with a missing child")
@@ -537,8 +566,11 @@ class Tree:
         for fp in self.M:
             if fp not in seen:
                 problems.append(f"map entry {fp:#x} is unreachable from the root")
-        if len(self._fps) != len(self.M) or set(self._fps) != set(self.M):
+        if len(self._fps) != len(self.M) or self.M.keys() != set(self._fps):
             problems.append("sampling index out of sync with the key map")
+        indexed = sum(map(len, by_size.values()))
+        if indexed != filled:  # each filled leaf was found in its bucket: a surplus is stale
+            problems.append(f"size index holds {indexed} leaves, the tree {filled} filled ones")
         return problems
 
     def measure_self_consistency(self, sample) -> float:

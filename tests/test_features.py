@@ -1,4 +1,8 @@
 import math
+import os
+import struct
+import tempfile
+from hashlib import blake2b
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,10 @@ from cmt.features import (
     parse_line,
     render_line,
 )
+from cmt.learners import ScorerModel, pair_features
+from cmt.snapshot import snapshot_load, snapshot_save
+from cmt.synth import generate as synth_generate, random_keys
+from cmt.tree import Memory, Tree
 
 
 def sv(mapping):
@@ -185,6 +193,42 @@ def test_fingerprint_is_pure(v):
     assert fingerprint(v) == fingerprint(v)
     copy = SparseVector(v.indices, v.values) if len(v) else SparseVector()
     assert fingerprint(copy) == fingerprint(v)
+
+
+def _digest_ref(v: SparseVector) -> int:
+    """The uncached digest: blake2b-64 of packed indices then packed values."""
+    n = len(v)
+    packed = struct.pack(f"<{n}q{n}d", *v.indices, *v.values)
+    return int.from_bytes(blake2b(packed, digest_size=8).digest(), "little")
+
+
+@settings(max_examples=50, deadline=None)
+@given(vector_strategy, vector_strategy, st.integers(0, 2**16))
+def test_fingerprint_equals_uncached_digest_on_every_call(a, b, seed):
+    # one vector from each way one is built, digested here for the first time
+    built = {
+        "init": SparseVector(a.indices, a.values),
+        "from_pairs": SparseVector.from_pairs(zip(b.indices, b.values)),
+        "pair_features": pair_features(a, b),
+        "random_keys": random_keys(1, dim=4, bits=3, seed=seed)[0],
+        "generate": synth_generate(f"synth:multiclass?classes=2&shots=1&dim=3&seed={seed}",
+                                   bits=4)[0][0].x,
+    }
+    for name, v in built.items():
+        want = _digest_ref(v)
+        assert fingerprint(v) == want, name
+        assert fingerprint(v) == want, name
+    t = Tree(scorer=ScorerModel(mode="euclidean"), d=0, replace_duplicates=True)
+    for i, v in enumerate(built.values()):
+        t.insert(Memory(v, i))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.snap")
+        snapshot_save(t, path)
+        reloaded = [z.x for z in snapshot_load(path).memories()]
+    assert reloaded
+    for v in reloaded:
+        assert fingerprint(v) == _digest_ref(v)
+        assert fingerprint(v) == _digest_ref(v)
 
 
 # -- line parsing --------------------------------------------------------------

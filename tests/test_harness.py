@@ -417,6 +417,7 @@ def test_cli_snapshot_error_exit_code(tmp_path):
         "no_alpha": with_header(raw, {k: v for k, v in header.items() if k != "alpha"}),
         "alpha_5": with_header(raw, {**header, "alpha": 5.0}),
         "rng_int": with_header(raw, {**header, "rng_state": 3}),
+        "c_inf": with_header(raw, {**header, "c": float("inf")}),
         "nested": nested(2000),
         "empty_leaves": nested(50),
         "version_1": MAGIC + struct.pack("<I", 1),
@@ -449,6 +450,22 @@ def test_cli_usage_error_exit_code(tmp_path):
     assert main([
         "train", "--hash-bits", "40", "--data", "synth:multiclass?classes=2&shots=1",
     ]) == 2
+    # store sizes below 1
+    for sizes in ("0", "-5", "3,0"):
+        assert main(["bench", "--sizes", sizes]) == 2, sizes
+    # an infinite leaf multiplier, wherever it is given
+    synth = "synth:multiclass?classes=2&shots=1"
+    assert main(["train", "--leaf-mult", "inf", "--data", synth]) == 2
+    assert main(["bench", "--sizes", "3", "--leaf-mult", "inf"]) == 2
+    assert main(["ablate", "--param", "c", "--values", "inf", "--data", synth]) == 2
+    # negative pass counts, refused before the (missing) data file is read
+    missing = str(tmp_path / "missing.vw")
+    assert main(["train", "--passes-sup", "-3", "--data", missing]) == 2
+    assert main(["train", "--passes-unsup", "-1", "--data", missing]) == 2
+    assert main(["ablate", "--param", "passes", "--values", "1,-1", "--data", missing]) == 2
+    # and so is any tree setting out of range
+    assert main(["train", "--leaf-mult", "inf", "--data", missing]) == 2
+    assert main(["ablate", "--param", "d", "--values", "1,-1", "--data", missing]) == 2
 
 
 def test_cli_module_entry_point(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from cmt.features import SparseVector, fingerprint
 from cmt.learners import RouterModel, ScorerModel
+from cmt.snapshot import snapshot_save
 from cmt.tree import (
     LEFT,
     RIGHT,
@@ -39,9 +40,11 @@ def wire(tree: Tree, root) -> Tree:
     tree.M.clear()
     tree._fps.clear()
     tree._fp_pos.clear()
+    tree._leaves_by_size.clear()
     for leaf in tree.leaves():
         for z in leaf.mem:
             tree._register(z, leaf)
+        tree._resize(leaf, 0)
     return tree
 
 
@@ -508,6 +511,77 @@ def test_shrinking_store_restores_capacity_invariant():
         assert t.check_invariants() == []
 
 
+def test_remove_and_contains_take_an_equal_but_distinct_vector():
+    t = euclidean_tree(c=1.0, seed=26)
+    memories = random_memories(20, seed=26)
+    for z in memories:
+        t.insert(z, 0)
+    z = memories[7]
+    twin = SparseVector(z.x.indices, z.x.values)
+    assert twin is not z.x and twin == z.x
+    assert t.contains(twin)
+    assert t.remove(twin) is z
+    assert not t.contains(SparseVector(z.x.indices, z.x.values))
+    assert t.check_invariants() == []
+
+
+class LeafWalkTree(Tree):
+    """Reference remove: on a capacity drop, walk every leaf and split the
+    ones over the new capacity, in walk order."""
+
+    def remove(self, x):
+        cap_before = self.capacity()
+        z = self._remove_fp(fingerprint(x))
+        cap = self.capacity()
+        if cap < cap_before:
+            for leaf in [leaf for leaf in self.leaves() if len(leaf.mem) > cap]:
+                self._split(leaf, protected=None)
+        return z
+
+
+@pytest.mark.parametrize("c", [4.0, 40.0])
+def test_churn_across_capacity_steps_matches_the_leaf_walk(tmp_path, c):
+    # hover at a capacity step, shrink to a handful, hover again: removes
+    # cross steps downward, splitting the leaves that inserts filled, and
+    # with c=40 one remove at small n drops the capacity by several steps
+    def capacity(n):
+        return max(math.ceil(c), math.ceil(c * math.log(max(n, 2))))
+
+    step = next(n for n in range(250, 1000) if capacity(n) > capacity(n - 1))
+    trees = [Tree(c=c, d=1, scorer=ScorerModel(mode="euclidean"), seed=27),
+             LeafWalkTree(c=c, d=1, scorer=ScorerModel(mode="euclidean"), seed=27)]
+    t = trees[0]
+    rng = random.Random(27)
+    fresh = iter(random_memories(2000, seed=27))
+    stored: list[Memory] = []
+    drops: list[int] = []
+    splitting_removes = 0
+    for target, steps in ((step, 600), (3, 600), (step, 600)):
+        for _ in range(steps):
+            toward = rng.random() < 0.75
+            if not stored or (len(stored) < target) == toward:
+                z = next(fresh)
+                stored.append(z)
+                for tree in trees:
+                    tree.insert(z)
+            else:
+                z = stored.pop(int(rng.random() * len(stored)))
+                cap, leaves = t.capacity(), sum(1 for _ in t.leaves())
+                for tree in trees:
+                    assert tree.remove(z.x) is z
+                drops.append(cap - t.capacity())
+                splitting_removes += sum(1 for _ in t.leaves()) > leaves
+            assert t.check_invariants() == []
+        snaps = []
+        for i, tree in enumerate(trees):
+            snapshot_save(tree, str(tmp_path / f"{i}.snap"))
+            snaps.append((tmp_path / f"{i}.snap").read_bytes())
+        assert snaps[0] == snaps[1]
+    # at c=4 removes split the leaves that inserts filled; at c=40 the few
+    # leaves are never full when the capacity drops, but it drops in leaps
+    assert splitting_removes > 0 if c == 4.0 else max(drops) >= 2
+
+
 # -- reroute ----------------------------------------------------------------------
 
 def test_reroute_on_empty_tree_is_noop():
@@ -558,6 +632,25 @@ def test_check_invariants_detects_corrupt_count():
     problems = t.check_invariants()
     assert len(problems) == 1
     assert "subtree count" in problems[0]
+
+
+def test_check_invariants_detects_corrupt_size_index():
+    t = euclidean_tree(c=1.0, seed=28)
+    for z in random_memories(10, seed=28):
+        t.insert(z, 0)
+    leaf = next(leaf for leaf in t.leaves() if leaf.mem)
+    size, n_filled = len(leaf.mem), sum(1 for leaf in t.leaves() if leaf.mem)
+    missing = f"leaf of {size} memories missing from the size index"
+    t._leaves_by_size[size].remove(leaf)
+    t._leaves_by_size[size + 1].add(leaf)
+    assert t.check_invariants() == [missing]
+    t._leaves_by_size[size + 1].remove(leaf)
+    assert t.check_invariants() == [
+        missing, f"size index holds {n_filled - 1} leaves, the tree {n_filled} filled ones"]
+    t._leaves_by_size[size].add(leaf)
+    t._leaves_by_size[size].add(Leaf())
+    assert t.check_invariants() == [
+        f"size index holds {n_filled + 1} leaves, the tree {n_filled} filled ones"]
 
 
 def test_check_invariants_detects_empty_leaf_below_root():
