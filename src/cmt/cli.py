@@ -111,9 +111,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DataError as exc:
         print(f"cmt: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"cmt: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except ValueError as exc:
         print(f"cmt: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -89,30 +89,33 @@ class RunConfig:
         )
 
 
-@dataclass
-class MetricRecord:
-    run_id: str
-    phase: str
-    step: int
-    metric: str
-    value: float
+def _write_tsv(path: Optional[str], columns, rows) -> str:
+    """Render rows of cells under a header as TSV; write it to path unless None.
+
+    Floats are written by repr, so a value reads back exactly. Returns the
+    text; a path that cannot be written is a DataError.
+    """
+    lines = ["\t".join(columns)]
+    for row in rows:
+        lines.append("\t".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    text = "\n".join(lines) + "\n"
+    if path is not None:
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise DataError(f"cannot write {path!r}: {exc}") from exc
+    return text
 
 
 class MetricLog:
+    columns = ("run_id", "phase", "step", "metric", "value")
+
     def __init__(self, run_id: str):
         self.run_id = run_id
-        self.records: list[MetricRecord] = []
+        self.rows: list[tuple] = []
 
     def add(self, phase: str, step: int, metric: str, value: float) -> None:
-        self.records.append(MetricRecord(self.run_id, phase, step, metric, value))
-
-    def write(self, path: Optional[str]) -> None:
-        if path is None:
-            return
-        lines = ["run_id\tphase\tstep\tmetric\tvalue"]
-        for r in self.records:
-            lines.append(f"{r.run_id}\t{r.phase}\t{r.step}\t{r.metric}\t{r.value!r}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.rows.append((self.run_id, phase, step, metric, value))
 
 
 class Task:
@@ -262,7 +265,7 @@ def load_dataset(config: RunConfig):
             raise DataError(f"bad synth URI {config.data!r}: {exc}") from exc
     try:
         text = Path(config.data).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {config.data!r}: {exc}") from exc
     task = make_task(config)
     examples = []
@@ -279,6 +282,8 @@ def _check_run(config: RunConfig) -> None:
     """Raise ValueError on a setting no training run can use, before it reads data."""
     if config.passes_unsup < 0 or config.passes_sup < 0:
         raise ValueError("--passes-unsup and --passes-sup must be >= 0")
+    if not 0.0 <= config.epsilon <= 1.0:  # NaN fails this too
+        raise ValueError("--epsilon must lie in [0, 1]")
     config.build_tree()  # the tree checks alpha, c and d
 
 
@@ -332,7 +337,7 @@ def cmd_train(config: RunConfig) -> dict:
             config=asdict(config),
             label_scorers=task.label_scorers,
         )
-    log.write(config.metrics)
+    _write_tsv(config.metrics, MetricLog.columns, log.rows)
     summary = {
         "stored": len(tree),
         "max_depth": tree.max_depth(),
@@ -366,7 +371,7 @@ def cmd_test(config: RunConfig) -> dict:
     log = MetricLog(config.run_id())
     for metric, value in metrics.items():
         log.add("test", len(test), metric, value)
-    log.write(config.metrics)
+    _write_tsv(config.metrics, MetricLog.columns, log.rows)
     summary: dict = {"examples": len(test), **metrics}
     if latencies:
         mean_ms = 1000.0 * statistics.fmean(latencies)
@@ -477,19 +482,7 @@ def cmd_bench(config: RunConfig, sizes: list[int]) -> list[dict]:
 
 
 def _emit_table(rows: list[dict], path: Optional[str]) -> None:
-    if not rows:
-        return
-    columns = list(rows[0].keys())
-    lines = ["\t".join(columns)]
-    for row in rows:
-        lines.append("\t".join(_fmt(row.get(c, "")) for c in columns))
-    text = "\n".join(lines) + "\n"
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    if rows:
+        columns = list(rows[0])
+        cells = ([row.get(c, "") for c in columns] for row in rows)
+        sys.stdout.write(_write_tsv(path, columns, cells))

@@ -11,10 +11,9 @@ file raises SnapshotError before any tree is returned.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
-from typing import Any, BinaryIO, Optional
+from typing import BinaryIO, Optional
 
 from .features import MODES, SparseVector, check_bits
 from .learners import LinearModel, RouterModel, ScorerModel
@@ -32,133 +31,123 @@ _VALUE_VECTOR = 2
 
 _END = b"ENDS"
 
+# a linear model's (index, weight, grad_sq) entry
+_TRIPLE = struct.Struct("<qdd")
+
 
 class SnapshotError(RuntimeError):
     """Unreadable, truncated, or incompatible snapshot file."""
 
 
-def _read(fh: BinaryIO, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise SnapshotError("truncated snapshot")
-    return data
+class _Cursor:
+    """A read position in the bytes of a loaded snapshot.
+
+    `unpack` reads little-endian fields at the position with
+    `struct.unpack_from` and moves past them; an `{n}s` field is n raw
+    bytes. Data that runs short raises SnapshotError before anything is
+    allocated for it, so a corrupt length cannot ask for gigabytes.
+    """
+
+    __slots__ = ("data", "pos")
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def unpack(self, fmt: str) -> tuple:
+        try:
+            values = struct.unpack_from(fmt, self.data, self.pos)
+        except struct.error:
+            raise SnapshotError("truncated snapshot") from None
+        self.pos += struct.calcsize(fmt)
+        return values
 
 
-def _write_u8(fh, v): fh.write(struct.pack("<B", v))
-def _write_u32(fh, v): fh.write(struct.pack("<I", v))
-def _write_u64(fh, v): fh.write(struct.pack("<Q", v))
-def _write_i64(fh, v): fh.write(struct.pack("<q", v))
-def _write_f64(fh, v): fh.write(struct.pack("<d", v))
-
-
-def _read_u8(fh) -> int: return struct.unpack("<B", _read(fh, 1))[0]
-def _read_u32(fh) -> int: return struct.unpack("<I", _read(fh, 4))[0]
-def _read_u64(fh) -> int: return struct.unpack("<Q", _read(fh, 8))[0]
-def _read_i64(fh) -> int: return struct.unpack("<q", _read(fh, 8))[0]
-def _read_f64(fh) -> float: return struct.unpack("<d", _read(fh, 8))[0]
-
-
-def _write_model(fh, model: LinearModel) -> None:
-    _write_u64(fh, model.update_count)
-    _write_u64(fh, model.mistake_count)
+def _pack_model(model: LinearModel) -> bytes:
     items = sorted(model.weights.items())
-    _write_u32(fh, len(items))
-    for idx, w in items:
-        _write_i64(fh, idx)
-        _write_f64(fh, w)
-        _write_f64(fh, model.grad_sq.get(idx, 0.0))
+    grad_sq = model.grad_sq
+    head = struct.pack("<QQI", model.update_count, model.mistake_count, len(items))
+    return head + b"".join(_TRIPLE.pack(idx, w, grad_sq.get(idx, 0.0)) for idx, w in items)
 
 
-def _read_model(fh, model: LinearModel) -> LinearModel:
-    model.update_count = _read_u64(fh)
-    model.mistake_count = _read_u64(fh)
-    for _ in range(_read_u32(fh)):
-        idx = _read_i64(fh)
-        model.weights[idx] = _read_f64(fh)
-        model.grad_sq[idx] = _read_f64(fh)
+def _read_model(cur: _Cursor, model: LinearModel) -> LinearModel:
+    model.update_count, model.mistake_count, n = cur.unpack("<QQI")
+    (triples,) = cur.unpack(f"<{_TRIPLE.size * n}s")
+    for idx, w, g in _TRIPLE.iter_unpack(triples):
+        model.weights[idx] = w
+        model.grad_sq[idx] = g
     return model
 
 
-def _write_vector(fh, v: SparseVector) -> None:
-    _write_u32(fh, len(v))
-    fh.write(v.to_bytes())
+def _pack_vector(v: SparseVector) -> bytes:
+    return struct.pack("<I", len(v)) + v.to_bytes()
 
 
-def _read_vector(fh) -> SparseVector:
-    n = _read_u32(fh)
-    packed = struct.unpack(f"<{n}q{n}d", _read(fh, 16 * n))  # inverse of to_bytes()
+def _read_vector(cur: _Cursor) -> SparseVector:
+    (n,) = cur.unpack("<I")
+    packed = cur.unpack(f"<{n}q{n}d")  # inverse of to_bytes()
     try:
         return SparseVector(packed[:n], packed[n:])
     except ValueError as exc:
         raise SnapshotError(f"corrupt vector record: {exc}") from exc
 
 
-def _write_memory(fh, z: Memory) -> None:
-    _write_vector(fh, z.x)
+def _pack_memory(z: Memory) -> bytes:
     value = z.value
     if isinstance(value, bool):
         raise SnapshotError("boolean memory values are not supported")
     if isinstance(value, int):
-        _write_u8(fh, _VALUE_INT)
-        _write_i64(fh, value)
+        tail = struct.pack("<Bq", _VALUE_INT, value)
     elif isinstance(value, (set, frozenset)):
-        _write_u8(fh, _VALUE_LABEL_SET)
         labels = sorted(value)
-        _write_u32(fh, len(labels))
-        for label in labels:
-            _write_i64(fh, label)
+        tail = struct.pack(f"<BI{len(labels)}q", _VALUE_LABEL_SET, len(labels), *labels)
     elif isinstance(value, SparseVector):
-        _write_u8(fh, _VALUE_VECTOR)
-        _write_vector(fh, value)
+        tail = struct.pack("<B", _VALUE_VECTOR) + _pack_vector(value)
     else:
         raise SnapshotError(f"unsupported memory value type {type(value).__name__}")
+    return _pack_vector(z.x) + tail
 
 
-def _read_memory(fh) -> Memory:
-    x = _read_vector(fh)
-    tag = _read_u8(fh)
+def _read_memory(cur: _Cursor) -> Memory:
+    x = _read_vector(cur)
+    (tag,) = cur.unpack("<B")
     if tag == _VALUE_INT:
-        value: Any = _read_i64(fh)
+        (value,) = cur.unpack("<q")
     elif tag == _VALUE_LABEL_SET:
-        value = frozenset(_read_i64(fh) for _ in range(_read_u32(fh)))
+        (n,) = cur.unpack("<I")
+        value = frozenset(cur.unpack(f"<{n}q"))
     elif tag == _VALUE_VECTOR:
-        value = _read_vector(fh)
+        value = _read_vector(cur)
     else:
         raise SnapshotError(f"unknown memory value tag {tag}")
     return Memory(x, value)
 
 
-def _write_node(fh, node: Node) -> None:
+def _write_node(fh: BinaryIO, node: Node) -> None:
     if node.is_leaf:
-        _write_u8(fh, _NODE_LEAF)
-        _write_u32(fh, len(node.mem))
+        fh.write(struct.pack("<BI", _NODE_LEAF, len(node.mem)))
         for z in node.mem:
-            _write_memory(fh, z)
+            fh.write(_pack_memory(z))
     else:
-        _write_u8(fh, _NODE_INTERNAL)
-        _write_u64(fh, node.n)
-        _write_model(fh, node.g)
+        fh.write(struct.pack("<BQ", _NODE_INTERNAL, node.n) + _pack_model(node.g))
         _write_node(fh, node.left)
         _write_node(fh, node.right)
 
 
-def _read_node(fh, tree: Tree, parent: Optional[Internal]) -> Node:
-    tag = _read_u8(fh)
+def _read_node(cur: _Cursor, parent: Optional[Internal]) -> Node:
+    (tag,) = cur.unpack("<B")
     if tag == _NODE_LEAF:
         leaf = Leaf(parent)
-        for _ in range(_read_u32(fh)):
-            z = _read_memory(fh)
-            leaf.mem.append(z)
-            tree._register(z, leaf)
-        tree._resize(leaf, 0)
+        (n,) = cur.unpack("<I")
+        leaf.mem = [_read_memory(cur) for _ in range(n)]
         return leaf
     if tag != _NODE_INTERNAL:
         raise SnapshotError(f"unknown node tag {tag}")
     node = Internal(parent, RouterModel())
-    node.n = _read_u64(fh)
-    _read_model(fh, node.g)
-    node.left = _read_node(fh, tree, node)
-    node.right = _read_node(fh, tree, node)
+    (node.n,) = cur.unpack("<Q")
+    _read_model(cur, node.g)
+    node.left = _read_node(cur, node)
+    node.right = _read_node(cur, node)
     return node
 
 
@@ -192,17 +181,13 @@ def snapshot_save(
     except OSError as exc:
         raise SnapshotError(f"cannot write snapshot {path!r}: {exc}") from exc
     with fh:
-        fh.write(MAGIC)
-        _write_u32(fh, VERSION)
-        _write_u32(fh, len(blob))
-        fh.write(blob)
-        _write_model(fh, tree.f)
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(blob)) + blob)
+        fh.write(_pack_model(tree.f))
         _write_node(fh, tree.root)
         scorers = sorted((label_scorers or {}).items())
-        _write_u32(fh, len(scorers))
+        fh.write(struct.pack("<I", len(scorers)))
         for label, model in scorers:
-            _write_i64(fh, label)
-            _write_model(fh, model)
+            fh.write(struct.pack("<q", label) + _pack_model(model))
         fh.write(_END)
 
 
@@ -218,46 +203,47 @@ def snapshot_load_full(path: str) -> tuple[Tree, dict, dict[int, RouterModel]]:
             data = handle.read()
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path!r}: {exc}") from exc
-    # an in-memory reader: a corrupt length reads short instead of allocating it
-    with io.BytesIO(data) as fh:
-        if _read(fh, len(MAGIC)) != MAGIC:
-            raise SnapshotError("bad magic: not a snapshot file")
-        version = _read_u32(fh)
-        if version != VERSION:
-            raise SnapshotError(
-                f"unsupported snapshot version {version} (this build reads version {VERSION})"
-            )
-        blob = _read(fh, _read_u32(fh))
-        try:
-            header = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SnapshotError(f"corrupt header: {exc}") from exc
-        try:
-            tree = Tree(
-                alpha=header["alpha"],
-                c=header["c"],
-                d=header["d"],
-                scorer=ScorerModel(mode=header["scorer_mode"]),
-                seed=header["seed"],
-                replace_duplicates=header["replace_duplicates"],
-            )
-            tree.rng.setstate(_decode_rng_state(header["rng_state"]))
-            config = header.get("config", {})
-            _check_config(config)
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise SnapshotError(f"bad header: {exc!r}") from exc
+    cur = _Cursor(data)
+    if cur.unpack(f"<{len(MAGIC)}s")[0] != MAGIC:
+        raise SnapshotError("bad magic: not a snapshot file")
+    (version,) = cur.unpack("<I")
+    if version != VERSION:
+        raise SnapshotError(
+            f"unsupported snapshot version {version} (this build reads version {VERSION})"
+        )
+    (size,) = cur.unpack("<I")
+    (blob,) = cur.unpack(f"<{size}s")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SnapshotError(f"corrupt header: {exc}") from exc
+    try:
+        tree = Tree(
+            alpha=header["alpha"],
+            c=header["c"],
+            d=header["d"],
+            scorer=ScorerModel(mode=header["scorer_mode"]),
+            seed=header["seed"],
+            replace_duplicates=header["replace_duplicates"],
+        )
+        tree.rng.setstate(_decode_rng_state(header["rng_state"]))
+        config = header.get("config", {})
+        _check_config(config)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise SnapshotError(f"bad header: {exc!r}") from exc
 
-        _read_model(fh, tree.f)
-        try:
-            tree.root = _read_node(fh, tree, None)
-        except RecursionError:
-            raise SnapshotError("node records nest too deeply") from None
-        label_scorers: dict[int, RouterModel] = {}
-        for _ in range(_read_u32(fh)):
-            label = _read_i64(fh)
-            label_scorers[label] = _read_model(fh, RouterModel())
-        if _read(fh, len(_END)) != _END or fh.read(1) != b"":
-            raise SnapshotError("trailing or missing data after the tree")
+    _read_model(cur, tree.f)
+    try:
+        tree._adopt(_read_node(cur, None))
+    except RecursionError:
+        raise SnapshotError("node records nest too deeply") from None
+    label_scorers: dict[int, RouterModel] = {}
+    (count,) = cur.unpack("<I")
+    for _ in range(count):
+        (label,) = cur.unpack("<q")
+        label_scorers[label] = _read_model(cur, RouterModel())
+    if cur.unpack(f"<{len(_END)}s")[0] != _END or cur.pos != len(data):
+        raise SnapshotError("trailing or missing data after the tree")
     problems = tree.check_invariants()
     if problems:
         raise SnapshotError(f"snapshot failed validation: {problems[0]}")

@@ -188,13 +188,27 @@ class Tree:
         self.seed = seed
         self.rng = Random(seed)
         self.replace_duplicates = replace_duplicates
-        self.root: Node = Leaf()
-        self.M: dict[int, Leaf] = {}
+        self._adopt(Leaf())
+
+    def _adopt(self, root: Node) -> None:
+        """Make `root` the root; rebuild the key map, sampling list and size index.
+
+        Leaves register left to right, each leaf's memories in stored order.
+        Reroute samples by position in the sampling list, so after a load it
+        depends only on the snapshot bytes. A duplicate key keeps its first
+        position and maps to its last leaf; `check_invariants` reports it.
+        """
+        root.parent = None
+        self.root: Node = root
+        leaves = list(self.leaves())[::-1]  # the walk meets leaves right to left
+        self.M: dict[int, Leaf] = {z.key_fingerprint: leaf for leaf in leaves for z in leaf.mem}
         # flat fingerprint index for O(1) uniform sampling in reroute
-        self._fps: list[int] = []
-        self._fp_pos: dict[int, int] = {}
+        self._fps: list[int] = list(self.M)
+        self._fp_pos: dict[int, int] = {fp: i for i, fp in enumerate(self._fps)}
         # memory count -> the non-empty leaves holding exactly that many
         self._leaves_by_size: defaultdict[int, set[Leaf]] = defaultdict(set)
+        for leaf in leaves:
+            self._resize(leaf, 0)
 
     # -- sizing ------------------------------------------------------------
 
@@ -209,44 +223,37 @@ class Tree:
         n = max(len(self.M), 2)
         return max(math.ceil(self.c), math.ceil(self.c * math.log(n)))
 
-    def leaves(self) -> Iterator[Leaf]:
-        stack: list[Node] = [self.root]
+    def walk(self) -> Iterator[tuple[Node, int]]:
+        """Every node with its depth, in preorder with the right subtree first.
+
+        The order is output: `memories()` follows it, and the ablation's
+        self-consistency sample is taken in that order.
+        """
+        stack: list[tuple[Node, int]] = [(self.root, 0)]
         while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                yield node
-            else:
-                stack.append(node.left)
-                stack.append(node.right)
+            node, depth = stack.pop()
+            yield node, depth
+            if not node.is_leaf:
+                stack.append((node.left, depth + 1))
+                stack.append((node.right, depth + 1))
+
+    def leaves(self) -> Iterator[Leaf]:
+        return (node for node, _ in self.walk() if node.is_leaf)
 
     def memories(self) -> Iterator[Memory]:
         for leaf in self.leaves():
             yield from leaf.mem
 
     def max_depth(self) -> int:
-        depth = 0
-        stack: list[tuple[Node, int]] = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            if node.is_leaf:
-                depth = max(depth, d)
-            else:
-                stack.append((node.left, d + 1))
-                stack.append((node.right, d + 1))
-        return depth
+        return max(depth for _, depth in self.walk())
 
     def max_progressive_error(self) -> float:
         """Largest progressive training error over all internal routers."""
-        worst = 0.0
-        stack: list[Node] = [self.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                if node.g.update_count:
-                    worst = max(worst, node.g.progressive_error())
-                stack.append(node.left)
-                stack.append(node.right)
-        return worst
+        return max(
+            (node.g.progressive_error() for node, _ in self.walk()
+             if not node.is_leaf and node.g.update_count),
+            default=0.0,
+        )
 
     # -- query -------------------------------------------------------------
 
@@ -379,10 +386,13 @@ class Tree:
         self.insert_leaf(v, z)
 
     def insert_leaf(self, leaf: Leaf, z: Memory) -> None:
-        """Append z to a leaf, splitting the leaf if it outgrew capacity."""
+        """Append z, whose key is not stored, to a leaf; split it if over capacity."""
         leaf.mem.append(z)
         self._resize(leaf, len(leaf.mem) - 1)
-        self._register(z, leaf)
+        fp = z.key_fingerprint
+        self.M[fp] = leaf
+        self._fp_pos[fp] = len(self._fps)
+        self._fps.append(fp)
         if len(leaf.mem) > self.capacity():
             self._split(leaf, protected=z)
 
@@ -392,13 +402,6 @@ class Tree:
             self._leaves_by_size[old].remove(leaf)
         if leaf.mem:
             self._leaves_by_size[len(leaf.mem)].add(leaf)
-
-    def _register(self, z: Memory, leaf: Leaf) -> None:
-        fp = z.key_fingerprint
-        self.M[fp] = leaf
-        if fp not in self._fp_pos:
-            self._fp_pos[fp] = len(self._fps)
-            self._fps.append(fp)
 
     def _split(self, leaf: Leaf, protected: Optional[Memory]) -> None:
         """Promote a leaf to an internal node and redistribute its memories.

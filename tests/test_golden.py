@@ -13,8 +13,8 @@ from pathlib import Path
 
 from cmt.features import SparseVector
 from cmt.learners import ScorerModel
-from cmt.runner import RunConfig, cmd_test, cmd_train
-from cmt.snapshot import snapshot_save
+from cmt.runner import RunConfig, cmd_ablate, cmd_test, cmd_train
+from cmt.snapshot import snapshot_load_full, snapshot_save
 from cmt.synth import random_keys
 from cmt.tree import Memory, Tree
 
@@ -38,6 +38,8 @@ GOLDEN = {
     "retrieval.snap": "c1cb079bd8f2ec96a2969f849b0f40b2",
     "retrieval.train.tsv": "ea0ae8de31b4046f066d2921f1db4060",
     "retrieval.test.tsv": "087cdce3f918d41f3660a1d662849c35",
+    "multiclass.rerouted.snap": "52a8175fa8c42f9ca18195e3b9332442",
+    "ablate_d.tsv": "31d9e5d5e3dcd7c7a7b216c07cb7eb24",
 }
 
 
@@ -95,6 +97,32 @@ def learned_sparse() -> dict[str, bytes]:
     return {"learned.snap": Path("learned.snap").read_bytes(), "learned.reads": answers}
 
 
+def rerouted_reload(path: str) -> dict[str, bytes]:
+    """A loaded snapshot saved again after 100 reroutes.
+
+    Reroute samples from the order in which loading registered the keys, so
+    this pins that order as well as the codec.
+    """
+    tree, config, label_scorers = snapshot_load_full(path)
+    for _ in range(100):
+        tree.reroute()
+    snapshot_save(tree, "rerouted.snap", config=config, label_scorers=label_scorers)
+    return {"multiclass.rerouted.snap": Path("rerouted.snap").read_bytes()}
+
+
+def ablate_d_table() -> dict[str, bytes]:
+    """The reroute sweep's table without its timing column.
+
+    Self-consistency is measured over the memories in tree-walk order, so
+    this pins that order as well as the table format.
+    """
+    cmd_ablate(RunConfig(data=RUNS["multiclass"][0], seed=1, metrics="ablate.tsv"), "d", [0, 1, 5])
+    rows = [line.split("\t") for line in Path("ablate.tsv").read_text().splitlines()]
+    timing = rows[0].index("inference_ms")
+    kept = ["\t".join(cell for i, cell in enumerate(row) if i != timing) for row in rows]
+    return {"ablate_d.tsv": "\n".join(kept).encode()}
+
+
 def test_seeded_outputs_match_golden_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # relative paths keep the saved run config path-free
     outputs = {**euclidean_churn(), **learned_sparse()}
@@ -105,5 +133,7 @@ def test_seeded_outputs_match_golden_digests(tmp_path, monkeypatch):
         cmd_test(RunConfig(**common, metrics=f"{mode}.test.tsv"))
         for name in (f"{mode}.snap", f"{mode}.train.tsv", f"{mode}.test.tsv"):
             outputs[name] = (tmp_path / name).read_bytes()
+    outputs.update(rerouted_reload("multiclass.snap"))
+    outputs.update(ablate_d_table())
     got = {name: digest(data) for name, data in outputs.items()}
     assert got == GOLDEN

@@ -7,9 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cmt
 from cmt.cli import main
+from cmt.features import MODES
 from cmt.learners import ScorerModel
 from cmt.runner import RunConfig, cmd_ablate, cmd_bench, cmd_test, cmd_train, load_dataset
 from cmt.snapshot import MAGIC, SnapshotError, snapshot_load, snapshot_load_full, snapshot_save
@@ -369,6 +372,32 @@ def test_cli_data_error_exit_code(tmp_path):
                 "synth:multilabel?examples=5&labels=5&labels_per_topic=0"):
         assert main(["train", "--mode", "multilabel", "--data", uri]) == 3
     assert main(["train", "--mode", "retrieval", "--data", "synth:retrieval?pairs=-2&dim=3"]) == 3
+    # a data file that is not UTF-8
+    undecodable = tmp_path / "latin.vw"
+    undecodable.write_bytes(b"1 | a:1\n\xff\xfe | b\n")
+    assert main(["train", "--data", str(undecodable)]) == 3
+    # a metrics path that cannot be written: a directory, or one inside a missing one
+    synth = "synth:multiclass?classes=2&shots=1"
+    for metrics in (tmp_path, tmp_path / "missing" / "m.tsv"):
+        assert main(["train", "--data", synth, "--metrics", str(metrics)]) == 3, metrics
+        assert main(["bench", "--sizes", "3", "--metrics", str(metrics)]) == 3, metrics
+
+
+# grammar fragments, so that some files parse and train as well
+DATA_TOKENS = [b"1 | a:0.5\n", b"2,3 | a\n", b"a | b:1\n", b"1", b"2,3", b" ", b"|", b":",
+               b"a", b"0.5", b"-", b"e9", b"nan", b"\n", b"\xff"]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    mode=st.sampled_from(MODES),
+    blob=st.binary(max_size=32) | st.lists(st.sampled_from(DATA_TOKENS), max_size=16).map(b"".join),
+)
+def test_cli_train_on_arbitrary_bytes_exits_0_or_3(tmp_path, mode, blob):
+    data = tmp_path / "fuzz.vw"
+    data.write_bytes(blob)
+    assert main(["train", "--mode", mode, "--data", str(data)]) in (0, 3)
 
 
 def test_cli_trains_on_zero_dimensional_synth_data(tmp_path):
@@ -466,6 +495,11 @@ def test_cli_usage_error_exit_code(tmp_path):
     # and so is any tree setting out of range
     assert main(["train", "--leaf-mult", "inf", "--data", missing]) == 2
     assert main(["ablate", "--param", "d", "--values", "1,-1", "--data", missing]) == 2
+    # an exploration probability outside [0, 1], or NaN
+    for epsilon in ("nan", "2", "-0.1"):
+        assert main(["train", "--epsilon", epsilon, "--data", missing]) == 2, epsilon
+        assert main(["ablate", "--param", "d", "--values", "1",
+                     "--epsilon", epsilon, "--data", missing]) == 2, epsilon
 
 
 def test_cli_module_entry_point(tmp_path):

@@ -35,16 +35,7 @@ def euclidean_tree(**kwargs) -> Tree:
 
 def wire(tree: Tree, root) -> Tree:
     """Adopt a hand-built node structure, registering every memory."""
-    root.parent = None
-    tree.root = root
-    tree.M.clear()
-    tree._fps.clear()
-    tree._fp_pos.clear()
-    tree._leaves_by_size.clear()
-    for leaf in tree.leaves():
-        for z in leaf.mem:
-            tree._register(z, leaf)
-        tree._resize(leaf, 0)
+    tree._adopt(root)
     return tree
 
 
