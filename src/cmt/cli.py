@@ -35,46 +35,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-organizing key-value memory tree with learned routing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "--mode": dict(choices=MODES),
+        "--data": dict(help="dataset path or synth:KIND?... URI"),
+        "--snapshot": dict(help="snapshot file to write (train) or read (test)"),
+        "--metrics": dict(help="TSV metrics output path"),
+        "--alpha": dict(type=float, help="balance weight in (0, 1] for router training"),
+        "--leaf-mult": dict(type=float, dest="c", help="multiplier c on the log leaf capacity"),
+        "--reroutes": dict(type=int, dest="d", help="reroute passes per insert/update (d)"),
+        "--epsilon": dict(type=float, help="exploration probability during training"),
+        "--passes-unsup": dict(type=int),
+        "--passes-sup": dict(type=int),
+        "--hash-bits": dict(type=int),
+        "--scorer": dict(choices=(SCORER_LEARNED, SCORER_EUCLIDEAN), dest="scorer_mode"),
+        "--seed": dict(type=int),
+        "--update-on-exploit": dict(action="store_true",
+                                    help="also train the scorer on non-exploratory returns"),
+    }
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mode", choices=MODES)
-        p.add_argument("--data", help="dataset path or synth:KIND?... URI")
-        p.add_argument("--snapshot", help="snapshot file to write (train) or read (test)")
-        p.add_argument("--metrics", help="TSV metrics output path")
-        p.add_argument("--alpha", type=float,
-                       help="balance weight in (0, 1] for router training")
-        p.add_argument("--leaf-mult", type=float, dest="c",
-                       help="multiplier c on the log leaf capacity")
-        p.add_argument("--reroutes", type=int, dest="d",
-                       help="reroute passes per insert/update (d)")
-        p.add_argument("--epsilon", type=float,
-                       help="exploration probability during training")
-        p.add_argument("--passes-unsup", type=int)
-        p.add_argument("--passes-sup", type=int)
-        p.add_argument("--hash-bits", type=int)
-        p.add_argument("--scorer", choices=(SCORER_LEARNED, SCORER_EUCLIDEAN),
-                       dest="scorer_mode")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--update-on-exploit", action="store_true",
-                       help="also train the scorer on non-exploratory returns")
-        p.add_argument("--replace-duplicates", action="store_true",
-                       help="re-inserting a stored key replaces it instead of erroring")
+    def add_command(name: str, summary: str, skipped=()) -> argparse.ArgumentParser:
+        """A subcommand taking every flag but the skipped ones, which it would not read."""
+        p = sub.add_parser(name, help=summary)
+        for flag, options in flags.items():
+            if flag not in skipped:
+                p.add_argument(flag, **options)
         p.set_defaults(**asdict(RunConfig()))
+        return p
 
-    p_train = sub.add_parser("train", help="build a tree from a dataset")
-    add_common(p_train)
-
-    p_test = sub.add_parser("test", help="read-only evaluation of a snapshot")
-    add_common(p_test)
-
-    p_ablate = sub.add_parser("ablate", help="sweep one parameter, train+test per value")
-    add_common(p_ablate)
+    training = ("--alpha", "--leaf-mult", "--reroutes", "--epsilon", "--passes-unsup",
+                "--passes-sup", "--scorer", "--update-on-exploit")
+    add_command("train", "build a tree from a dataset")
+    add_command("test", "read-only evaluation of a snapshot", training)
+    p_ablate = add_command("ablate", "sweep one parameter, train+test per value", ("--snapshot",))
     p_ablate.add_argument("--param", choices=ABLATE_PARAMS, required=True)
     p_ablate.add_argument("--values", required=True,
                           help="comma-separated values, e.g. 0,1,5,10")
-
-    p_bench = sub.add_parser("bench", help="insert/query scaling on synthetic stores")
-    add_common(p_bench)
+    p_bench = add_command("bench", "insert/query scaling on synthetic stores",
+                          ("--mode", "--data", "--snapshot", "--epsilon", "--passes-unsup",
+                           "--passes-sup", "--update-on-exploit"))
     p_bench.add_argument("--sizes", required=True,
                          help="comma-separated store sizes, e.g. 1000,10000")
     return parser

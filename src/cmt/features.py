@@ -10,6 +10,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from hashlib import blake2b
+from typing import Optional
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -235,13 +236,15 @@ class LabeledLine:
     `left_tokens` keeps the raw token strings of the left block (labels for
     the classification modes, feature tokens for retrieval); `right_tokens`
     the raw feature tokens of the right block. `right_block` is the hashed
-    form of the right block.
+    form of the right block, and `left_block` that of a retrieval line's
+    left block (None in the other modes).
     """
 
     mode: str
     left_tokens: tuple[str, ...]
     right_tokens: tuple[str, ...]
     right_block: SparseVector = field(compare=False)
+    left_block: Optional[SparseVector] = field(default=None, compare=False)
 
     @property
     def label(self) -> int:
@@ -254,11 +257,6 @@ class LabeledLine:
         if self.mode == MODE_RETRIEVAL:
             raise ValueError("labels are not defined for retrieval lines")
         return frozenset(int(t) for t in self.left_tokens)
-
-    def left_block(self, bits: int = DEFAULT_BITS) -> SparseVector:
-        if self.mode != MODE_RETRIEVAL:
-            raise ValueError("left feature block is only defined for retrieval lines")
-        return _hash_pairs([_split_token(t, 0) for t in self.left_tokens], bits, 0)
 
 
 def _split_token(token: str, lineno: int) -> tuple[str, float]:
@@ -305,19 +303,21 @@ def parse_line(text: str, mode: str, bits: int = DEFAULT_BITS, lineno: int = 0) 
 
     right_tokens, right_pairs = _parse_features(right, lineno)
 
+    left_block = None
     if mode == MODE_MULTICLASS:
-        if not _is_decimal(left):
+        if not _is_label(left):
             raise ParseError(f"bad multiclass label {left!r}", lineno)
         left_tokens = (left,)
     elif mode == MODE_MULTILABEL:
         left_tokens = tuple(left.split(","))
-        if not all(_is_decimal(t) for t in left_tokens):
+        if not all(_is_label(t) for t in left_tokens):
             raise ParseError(f"bad multilabel block {left!r}", lineno)
     else:
         left_tokens, left_pairs = _parse_features(left, lineno)
-        _hash_pairs(left_pairs, bits, lineno)  # its tokens may overflow too
+        left_block = _hash_pairs(left_pairs, bits, lineno)
 
-    return LabeledLine(mode, left_tokens, right_tokens, _hash_pairs(right_pairs, bits, lineno))
+    right_block = _hash_pairs(right_pairs, bits, lineno)
+    return LabeledLine(mode, left_tokens, right_tokens, right_block, left_block)
 
 
 def render_line(line: LabeledLine) -> str:
@@ -325,5 +325,6 @@ def render_line(line: LabeledLine) -> str:
     return f"{' '.join(line.left_tokens) if line.mode == MODE_RETRIEVAL else ','.join(line.left_tokens)} | {' '.join(line.right_tokens)}"
 
 
-def _is_decimal(s: str) -> bool:
-    return s.isdigit()
+def _is_label(s: str) -> bool:
+    """At most 19 ASCII digits naming an integer below 2**63, a snapshot's i64."""
+    return s.isascii() and s.isdigit() and len(s) <= 19 and int(s) < 2**63

@@ -66,7 +66,6 @@ class RunConfig:
     seed: int = 0
     scorer_mode: str = SCORER_LEARNED
     update_on_exploit: bool = False
-    replace_duplicates: bool = False
     data: Optional[str] = None
     snapshot: Optional[str] = None
     metrics: Optional[str] = None
@@ -85,7 +84,6 @@ class RunConfig:
             d=self.d,
             scorer=ScorerModel(mode=self.scorer_mode),
             seed=self.seed,
-            replace_duplicates=self.replace_duplicates,
         )
 
 
@@ -211,7 +209,7 @@ class RetrievalTask(Task):
     ablate_columns = (("mean_cosine", "mean_cosine"),)
 
     def example(self, line) -> RetrievalPair:
-        return RetrievalPair(line.left_block(self.config.hash_bits), line.right_block)
+        return RetrievalPair(line.left_block, line.right_block)
 
     def memory(self, ex: RetrievalPair) -> Memory:
         return Memory(ex.x, ex.value)
@@ -334,7 +332,7 @@ def cmd_train(config: RunConfig) -> dict:
         snapshot_save(
             tree,
             config.snapshot,
-            config=asdict(config),
+            config={"mode": config.mode, "hash_bits": config.hash_bits},
             label_scorers=task.label_scorers,
         )
     _write_tsv(config.metrics, MetricLog.columns, log.rows)
@@ -355,13 +353,12 @@ def cmd_test(config: RunConfig) -> dict:
     if not config.snapshot:
         raise DataError("test requires --snapshot")
     tree, saved_config, label_scorers = snapshot_load_full(config.snapshot)
-    if saved_config:
-        saved_mode = saved_config.get("mode", config.mode)
-        if saved_mode != config.mode:
-            raise SnapshotError(
-                f"snapshot was trained in mode {saved_mode!r}, requested {config.mode!r}"
-            )
-        config.hash_bits = saved_config.get("hash_bits", config.hash_bits)
+    saved_mode = saved_config.get("mode", config.mode)
+    if saved_mode != config.mode:
+        raise SnapshotError(
+            f"snapshot was trained in mode {saved_mode!r}, requested {config.mode!r}"
+        )
+    config.hash_bits = saved_config.get("hash_bits", config.hash_bits)
     train, test = load_dataset(config)
     if not test:
         test = train  # plain files carry no split: evaluate the file itself
@@ -425,8 +422,6 @@ def cmd_ablate(config: RunConfig, param: str, values: list) -> list[dict]:
 def _sweep_config(config: RunConfig, param: str, value) -> RunConfig:
     """The config of one ablation run: `config` with `param` set to `value`."""
     cfg = RunConfig(**asdict(config))
-    cfg.snapshot = None
-    cfg.metrics = None
     if param == "d":
         cfg.d = int(value)
     elif param == "c":

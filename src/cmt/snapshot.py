@@ -1,17 +1,21 @@
 """Length-prefixed binary persistence for trees.
 
 Layout: an 8-byte magic, a u32 format version, a length-prefixed UTF-8
-JSON header (tree parameters, generator state, optional run config), the
-shared scorer record, then the node tree in preorder, then the label
-scorers and an end marker. Linear models are stored as their two counters
-and sorted (index, weight, grad_sq) triples so a snapshot is a canonical
-byte encoding of its tree. Loading a truncated, foreign or other-version
-file raises SnapshotError before any tree is returned.
+JSON header (tree parameters, generator state, and the mode and hash width
+a test run reads back), the shared scorer record, then the node tree in
+preorder, then the label scorers and an end marker. Linear models are
+stored as their two counters and sorted (index, weight, grad_sq) triples so
+a snapshot is a canonical byte encoding of its tree. A save writes a
+temporary file beside the target and moves it over the target only once it
+is complete. Loading a truncated, foreign or other-version file raises
+SnapshotError before any tree is returned.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from typing import BinaryIO, Optional
 
@@ -20,7 +24,7 @@ from .learners import LinearModel, RouterModel, ScorerModel
 from .tree import Internal, Leaf, Memory, Node, Tree
 
 MAGIC = b"CMTSNAP\x00"
-VERSION = 2
+VERSION = 3
 
 _NODE_LEAF = 0
 _NODE_INTERNAL = 1
@@ -159,8 +163,10 @@ def snapshot_save(
 ) -> None:
     """Persist a healthy tree (check_invariants must be clean).
 
-    `label_scorers` carries the one-against-some inference models of a
-    multilabel run so a later test command can reuse them.
+    `config` holds the run settings a later test command reads back (its
+    mode and hash width). `label_scorers` carries the one-against-some
+    inference models of a multilabel run so that command can reuse them.
+    A save that fails leaves any earlier file at `path` as it was.
     """
     problems = tree.check_invariants()
     if problems:
@@ -170,25 +176,32 @@ def snapshot_save(
         "c": tree.c,
         "d": tree.d,
         "seed": tree.seed,
-        "replace_duplicates": tree.replace_duplicates,
         "scorer_mode": tree.f.mode,
         "rng_state": _encode_rng_state(tree.rng.getstate()),
         "config": config or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        fh = open(path, "wb")
+        fh = open(tmp, "xb")
     except OSError as exc:
         raise SnapshotError(f"cannot write snapshot {path!r}: {exc}") from exc
-    with fh:
-        fh.write(MAGIC + struct.pack("<II", VERSION, len(blob)) + blob)
-        fh.write(_pack_model(tree.f))
-        _write_node(fh, tree.root)
-        scorers = sorted((label_scorers or {}).items())
-        fh.write(struct.pack("<I", len(scorers)))
-        for label, model in scorers:
-            fh.write(struct.pack("<q", label) + _pack_model(model))
-        fh.write(_END)
+    try:
+        with fh:
+            fh.write(MAGIC + struct.pack("<II", VERSION, len(blob)) + blob)
+            fh.write(_pack_model(tree.f))
+            _write_node(fh, tree.root)
+            scorers = sorted((label_scorers or {}).items())
+            fh.write(struct.pack("<I", len(scorers)))
+            for label, model in scorers:
+                fh.write(struct.pack("<q", label) + _pack_model(model))
+            fh.write(_END)
+        os.replace(tmp, path)
+    except (OSError, struct.error) as exc:  # struct.error: an int outside its field
+        raise SnapshotError(f"cannot write snapshot {path!r}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)  # already gone once it has replaced path
 
 
 def snapshot_load(path: str) -> Tree:
@@ -224,7 +237,6 @@ def snapshot_load_full(path: str) -> tuple[Tree, dict, dict[int, RouterModel]]:
             d=header["d"],
             scorer=ScorerModel(mode=header["scorer_mode"]),
             seed=header["seed"],
-            replace_duplicates=header["replace_duplicates"],
         )
         tree.rng.setstate(_decode_rng_state(header["rng_state"]))
         config = header.get("config", {})

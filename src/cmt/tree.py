@@ -173,7 +173,6 @@ class Tree:
         d: int = 5,
         scorer: Optional[ScorerModel] = None,
         seed: int = 0,
-        replace_duplicates: bool = False,
     ):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
@@ -187,7 +186,6 @@ class Tree:
         self.f = scorer if scorer is not None else ScorerModel()
         self.seed = seed
         self.rng = Random(seed)
-        self.replace_duplicates = replace_duplicates
         self._adopt(Leaf())
 
     def _adopt(self, root: Node) -> None:
@@ -356,15 +354,13 @@ class Tree:
 
     # -- insert ------------------------------------------------------------
 
-    def insert(self, z: Memory, d: Optional[int] = None) -> None:
-        """Route z to a leaf (training routers on the way) and store it."""
-        reroutes = self.d if d is None else d
+    def insert(self, z: Memory) -> None:
+        """Route z to a leaf (training routers on the way) and store it; a key
+        already stored raises DuplicateKeyError."""
         if z.key_fingerprint in self.M:
-            if not self.replace_duplicates:
-                raise DuplicateKeyError(f"key {z.key_fingerprint:#x} already stored")
-            self._remove_fp(z.key_fingerprint)
+            raise DuplicateKeyError(f"key {z.key_fingerprint:#x} already stored")
         self._insert_from(self.root, z)
-        for _ in range(reroutes):
+        for _ in range(self.d):
             self.reroute()
 
     def _router_target(self, v: Internal, signal: float) -> float:

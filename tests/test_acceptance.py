@@ -69,7 +69,7 @@ def test_c02_immediate_self_consistency():
     failures = 0
     for i, x in enumerate(keys):
         z = Memory(x, i)
-        t.insert(z, 0)
+        t.insert(z)
         got = t.query(x, 1, 0.0).memories
         if not got or got[0].key_fingerprint != z.key_fingerprint:
             failures += 1
@@ -104,7 +104,7 @@ def test_c04_unbiased_reward_difference():
     for i in range(15):
         x = SparseVector.from_pairs((j, rng.uniform(-2, 2)) for j in range(5))
         z = Memory(x, i)
-        t.insert(z, 0)
+        t.insert(z)
         memories.append(z)
     assert not t.root.is_leaf
     rewards = {z.key_fingerprint: rng.random() for z in memories}

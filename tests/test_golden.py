@@ -25,20 +25,20 @@ RUNS = {
 }
 
 GOLDEN = {
-    "euclidean.snap": "9bdaccb666d1e78fc864ca89f1e9f164",
+    "euclidean.snap": "7238da5f06014028981e418c6e458f5f",
     "euclidean.reads": "81f992f34a880d62a3ea40780c9cb2db",
-    "learned.snap": "f9be1900b2035b9962dd090aab00b099",
+    "learned.snap": "5fc31c4c61c5805e5df516276ac99a36",
     "learned.reads": "64292e2e3e10d4241d7556598f41e175",
-    "multiclass.snap": "cb759d21275a3f5ba02a1f5276b334d8",
-    "multiclass.train.tsv": "63f520f8c83b300ab942497e53250738",
-    "multiclass.test.tsv": "84a2600b0c49452064e0c6a4ff368561",
-    "multilabel.snap": "b8b60d4588e439060a005fe7d8665881",
-    "multilabel.train.tsv": "ca079050d4fd7fe699977057139da1eb",
-    "multilabel.test.tsv": "917fc400d40d17081d491061fbf6f952",
-    "retrieval.snap": "c1cb079bd8f2ec96a2969f849b0f40b2",
-    "retrieval.train.tsv": "ea0ae8de31b4046f066d2921f1db4060",
-    "retrieval.test.tsv": "087cdce3f918d41f3660a1d662849c35",
-    "multiclass.rerouted.snap": "52a8175fa8c42f9ca18195e3b9332442",
+    "multiclass.snap": "ccbf8b41416ef50002a6e378c63d62dc",
+    "multiclass.train.tsv": "4e1e60d05b4567b61a26bb3fdae31926",
+    "multiclass.test.tsv": "f6ec3071f5c047719b4f44362589555f",
+    "multilabel.snap": "c6162ff2c974bdb191e202db98d5b5bc",
+    "multilabel.train.tsv": "ecf540a07a6a59c56a1769c7b44e7938",
+    "multilabel.test.tsv": "85f12bed661c22ddbc181121372ecc88",
+    "retrieval.snap": "2ada8d27d1956a3c21fea0bc0c9e6e31",
+    "retrieval.train.tsv": "4cec40452a78e23045155eafb01f2c4b",
+    "retrieval.test.tsv": "14275d5852dffba57f4f5df0f53cd40b",
+    "multiclass.rerouted.snap": "a6a1399bb6b9f72b301ba877f951b8cd",
     "ablate_d.tsv": "31d9e5d5e3dcd7c7a7b216c07cb7eb24",
 }
 
@@ -124,7 +124,7 @@ def ablate_d_table() -> dict[str, bytes]:
 
 
 def test_seeded_outputs_match_golden_digests(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # relative paths keep the saved run config path-free
+    monkeypatch.chdir(tmp_path)  # the helpers write their outputs to relative paths
     outputs = {**euclidean_churn(), **learned_sparse()}
     for mode, (uri, update_on_exploit) in RUNS.items():
         common = dict(mode=mode, data=uri, seed=1, snapshot=f"{mode}.snap")

@@ -73,9 +73,9 @@ def test_snapshot_empty_tree_round_trips(tmp_path):
 def test_snapshot_preserves_value_payloads(tmp_path):
     t = Tree(d=0)
     keys = random_keys(3, seed=5)
-    t.insert(Memory(keys[0], 42), 0)
-    t.insert(Memory(keys[1], frozenset({1, 5})), 0)
-    t.insert(Memory(keys[2], keys[0]), 0)
+    t.insert(Memory(keys[0], 42))
+    t.insert(Memory(keys[1], frozenset({1, 5})))
+    t.insert(Memory(keys[2], keys[0]))
     snap = tmp_path / "vals.snap"
     snapshot_save(t, str(snap))
     loaded = snapshot_load(str(snap))
@@ -151,6 +151,41 @@ def test_snapshot_round_trip_is_byte_stable(tmp_path):
     assert "base_rate" not in read_header(a.read_bytes())
 
 
+def test_snapshot_header_stores_each_setting_once(tmp_path):
+    snap = tmp_path / "m.snap"
+    cmd_train(RunConfig(data="synth:multiclass?classes=4&shots=2", snapshot=str(snap),
+                        metrics=str(tmp_path / "m.tsv")))
+    header = read_header(snap.read_bytes())
+    assert set(header) == {"alpha", "c", "d", "seed", "scorer_mode", "rng_state", "config"}
+    assert header["config"] == {"mode": "multiclass", "hash_bits": 20}
+
+
+def test_train_snapshot_bytes_do_not_depend_on_output_paths(tmp_path):
+    snaps = []
+    for name in ("a", "bb"):
+        snap = tmp_path / f"{name}.snap"
+        cmd_train(RunConfig(data=SYNTH_URIS["multilabel"], mode="multilabel", seed=3,
+                            snapshot=str(snap), metrics=str(tmp_path / f"{name}.tsv")))
+        snaps.append(snap.read_bytes())
+    assert snaps[0] == snaps[1]
+
+
+def test_failed_save_leaves_the_earlier_snapshot_intact(tmp_path):
+    snap = tmp_path / "m.snap"
+    t = build_tree(20)
+    snapshot_save(t, str(snap))
+    good = snap.read_bytes()
+    t.insert(Memory(random_keys(1, seed=77)[0], 2**63))  # beyond the i64 value field
+    with pytest.raises(SnapshotError, match="cannot write snapshot"):
+        snapshot_save(t, str(snap))
+    assert snap.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["m.snap"]  # no temporary file left
+    # a target that cannot be replaced is refused the same way
+    with pytest.raises(SnapshotError, match="cannot write snapshot"):
+        snapshot_save(build_tree(5), str(tmp_path))
+    assert [p.name for p in tmp_path.iterdir()] == ["m.snap"]
+
+
 # -- train / test ----------------------------------------------------------------
 
 def test_train_then_test_on_file(tmp_path):
@@ -213,9 +248,10 @@ def test_train_determinism_byte_identical_metrics(tmp_path, source):
     ("retrieval", "mean_cosine"),
 ])
 def test_train_then_test_synth_round_trip(tmp_path, mode, metric):
-    common = ["--mode", mode, "--data", SYNTH_URIS[mode], "--seed", "2", "--reroutes", "1",
+    common = ["--mode", mode, "--data", SYNTH_URIS[mode], "--seed", "2",
               "--snapshot", str(tmp_path / "m.snap")]
-    assert main(["train", *common, "--metrics", str(tmp_path / "train.tsv")]) == 0
+    assert main(["train", *common, "--reroutes", "1",
+                 "--metrics", str(tmp_path / "train.tsv")]) == 0
     assert main(["test", *common, "--metrics", str(tmp_path / "test.tsv")]) == 0
     rows = [line.split("\t") for line in (tmp_path / "test.tsv").read_text().splitlines()[1:]]
     assert [row[3] for row in rows] == [metric]
@@ -267,6 +303,21 @@ def test_synth_uri_loads_both_splits():
     train, test = load_dataset(config)
     assert len(train) == 10
     assert len(test) == 5
+
+
+def test_retrieval_file_hashes_each_block_once(tmp_path, monkeypatch):
+    import cmt.features as features
+
+    data = tmp_path / "pairs.vw"
+    data.write_text("q1:1 q2:0.5 | v1:1\nq3 | v2:2 v3\n", encoding="utf-8")
+    calls = []
+    hash_features = features.hash_features
+    monkeypatch.setattr(features, "hash_features",
+                        lambda pairs, bits: calls.append(bits) or hash_features(pairs, bits))
+    train, _ = load_dataset(RunConfig(mode="retrieval", data=str(data), hash_bits=12))
+    assert calls == [12] * 4  # the left and the right block of each line
+    assert train[1].x == hash_features([("q3", 1.0)], 12)
+    assert train[1].value == hash_features([("v2", 2.0), ("v3", 1.0)], 12)
 
 
 # -- ablate / bench ----------------------------------------------------------------
@@ -414,6 +465,30 @@ def test_cli_parse_error_reports_line_number(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode,label", [
+    ("multiclass", "\u00b2"),                  # a digit to str.isdigit, not to int()
+    ("multiclass", "9223372036854775808"),     # 2**63, past a snapshot's i64
+    ("multiclass", "99999999999999999999"),
+    ("multilabel", "1,\u00b2"),
+    ("multilabel", "1,9223372036854775808"),
+])
+def test_cli_label_outside_the_stored_range_is_a_data_error(tmp_path, capsys, mode, label):
+    data = tmp_path / "labels.vw"
+    data.write_text(f"0 | a:1\n{label} | a:2\n", encoding="utf-8")
+    snap = tmp_path / "m.snap"
+    assert main(["train", "--mode", mode, "--data", str(data), "--snapshot", str(snap)]) == 3
+    assert "line 2" in capsys.readouterr().err
+    assert not snap.exists()
+
+
+def test_cli_largest_stored_label_round_trips(tmp_path):
+    data = tmp_path / "labels.vw"
+    data.write_text("9223372036854775807 | a:1\n0 | b:1\n", encoding="utf-8")
+    snap = tmp_path / "m.snap"
+    assert main(["train", "--data", str(data), "--snapshot", str(snap)]) == 0
+    assert {z.value for z in snapshot_load(str(snap)).memories()} == {2**63 - 1, 0}
+
+
 def test_cli_snapshot_error_exit_code(tmp_path):
     data = write_multiclass_file(tmp_path / "t.vw")
     assert main([
@@ -450,6 +525,7 @@ def test_cli_snapshot_error_exit_code(tmp_path):
         "nested": nested(2000),
         "empty_leaves": nested(50),
         "version_1": MAGIC + struct.pack("<I", 1),
+        "version_2": MAGIC + struct.pack("<I", 2) + raw[len(MAGIC) + 4:],
         "config_list": with_header(raw, {**header, "config": [1]}),
         "hash_bits_str": with_header(raw, {**header, "config": {"hash_bits": "x"}}),
         "hash_bits_40": with_header(raw, {**header, "config": {"hash_bits": 40}}),
@@ -468,6 +544,14 @@ def test_cli_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--alpha"])  # missing argument
     assert exc.value.code == 2
+    # a flag the command would not read
+    for argv in (["test", "--alpha", "0.5"], ["bench", "--sizes", "3", "--data", "x"],
+                 ["bench", "--sizes", "3", "--snapshot", "x"],
+                 ["ablate", "--param", "d", "--values", "1", "--snapshot", "x"],
+                 ["train", "--replace-duplicates"], ["test", "--replace-duplicates"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     # empty ablate values are a usage error too
     assert main([
         "ablate", "--param", "d", "--values", "",

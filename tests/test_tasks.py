@@ -51,7 +51,7 @@ def test_mc_step_rejects_an_unknown_mode():
 def test_mc_step_exact_hit():
     t = euclidean_tree()
     x = sv({1: 1.0})
-    t.insert(Memory(x, 7), 0)
+    t.insert(Memory(x, 7))
     predicted, correct = mc_step(t, MulticlassExample(x, 7), 0.0)
     assert predicted == 7
     assert correct
@@ -60,7 +60,7 @@ def test_mc_step_exact_hit():
 
 def test_mc_step_reward_is_binary(monkeypatch):
     t = euclidean_tree(d=0)
-    t.insert(Memory(sv({1: 1.0}), 0), 0)
+    t.insert(Memory(sv({1: 1.0}), 0))
     seen = []
     original = Tree.update
 
@@ -84,7 +84,7 @@ def test_mc_progressive_run_single_example():
 
 
 def test_mc_progressive_repeats_eventually_hit():
-    t = euclidean_tree(replace_duplicates=True)
+    t = euclidean_tree()
     ex = MulticlassExample(sv({1: 1.0}), 4)
     hits = 0
     for i in range(10):
@@ -109,7 +109,7 @@ def test_mc_evaluate_is_read_only():
     train, test = multiclass_clusters(classes=5, shots=2, test_per_class=1, seed=6)
     t = euclidean_tree(seed=6)
     for ex in train:
-        t.insert(Memory(ex.x, ex.label), 0)
+        t.insert(Memory(ex.x, ex.label))
     stored = len(t)
     accuracy, n = mc_evaluate(t, test)
     assert n == len(test)
@@ -217,7 +217,7 @@ def test_oas_learns_topic_blocks():
 def test_retrieval_step_exact_pair_scores_one():
     t = euclidean_tree()
     pair = RetrievalPair(sv({1: 1.0}), sv({2: 3.0}))
-    t.insert(Memory(pair.x, pair.value), 0)
+    t.insert(Memory(pair.x, pair.value))
     returned, reward = retrieval_step(t, pair, train=False)
     assert returned == pair.value
     assert reward == pytest.approx(1.0)

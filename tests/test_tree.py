@@ -118,7 +118,7 @@ def test_query_epsilon_zero_returns_top_of_deterministic_leaf():
     memories = random_memories(30, seed=1)
     t = euclidean_tree(c=1.0, seed=4)
     for z in memories:
-        t.insert(z, 0)
+        t.insert(z)
         # right after its own insert the memory is still where routing says
         result = t.query(z.x, 1, 0.0)
         assert result.key is None
@@ -135,7 +135,7 @@ def test_query_epsilon_zero_returns_top_of_deterministic_leaf():
 def test_query_epsilon_one_single_leaf_always_explores_at_leaf():
     t = euclidean_tree(seed=11)
     z = Memory(sv({1: 1.0}), 0)
-    t.insert(z, 0)
+    t.insert(z)
     for _ in range(20):
         result = t.query(sv({1: 0.5}), 1, 1.0)
         assert result.key == LeafExplore(t.root)
@@ -315,8 +315,9 @@ def test_update_stale_key_skips_learners_but_still_reroutes():
     zl, zr = random_memories(2, seed=12)
     stale_leaf = leaf_of(zl)
     stale = internal({}, stale_leaf, leaf_of(zr))  # never attached to the tree
-    t = CountingTree(d=3, scorer=ScorerModel(mode="learned"))
-    t.insert(Memory(sv({5: 1.0}), 0), 0)
+    t = CountingTree(d=0, scorer=ScorerModel(mode="learned"))
+    t.insert(Memory(sv({5: 1.0}), 0))
+    t.d = 3
     t.update(sv({1: 1.0}), zl, 1.0, Deviation(stale, RIGHT, 0.5))
     assert stale.g.update_count == 0
     assert t.rerouted == 3
@@ -343,7 +344,7 @@ def test_update_none_key_only_reroutes():
 def test_insert_into_empty_tree():
     t = euclidean_tree()
     z = Memory(sv({1: 1.0}), 0)
-    t.insert(z, 0)
+    t.insert(z)
     assert len(t) == 1
     assert t.root.mem == [z]
     assert t.check_invariants() == []
@@ -357,7 +358,7 @@ def test_insert_alpha_one_follows_balance_only():
     root = internal({}, leaf_of(*heavy), leaf_of(*light))
     t = wire(euclidean_tree(alpha=1.0), root)
     z = Memory(sv({21: 1.0}), "new")
-    t.insert(z, 0)
+    t.insert(z)
     assert root.g.raw(z.x) > 0.0
     assert z in root.right.mem
 
@@ -366,7 +367,7 @@ def test_insert_alpha_one_follows_balance_only():
     root2 = internal({}, leaf_of(even_l), leaf_of(even_r))
     t2 = wire(euclidean_tree(alpha=1.0), root2)
     z2 = Memory(sv({22: 1.0}), "new2")
-    t2.insert(z2, 0)
+    t2.insert(z2)
     assert root2.g.raw(z2.x) < 0.0
     assert z2 in root2.left.mem
 
@@ -374,27 +375,21 @@ def test_insert_alpha_one_follows_balance_only():
 def test_insert_overflow_splits_leaf():
     t = euclidean_tree(c=1.0, seed=16)
     memories = random_memories(2, seed=16)
-    t.insert(memories[0], 0)
+    t.insert(memories[0])
     assert t.root.is_leaf
-    t.insert(memories[1], 0)  # capacity at 2 stored is 1, so the leaf splits
+    t.insert(memories[1])  # capacity at 2 stored is 1, so the leaf splits
     assert not t.root.is_leaf
     assert t.root.n == 2
     assert len(t.root.left.mem) + len(t.root.right.mem) == 2
     assert t.check_invariants() == []
 
 
-def test_insert_duplicate_raises_and_replace_flag_replaces():
+def test_insert_duplicate_raises():
     t = euclidean_tree()
     x = sv({1: 1.0})
-    t.insert(Memory(x, "old"), 0)
+    t.insert(Memory(x, "old"))
     with pytest.raises(DuplicateKeyError):
-        t.insert(Memory(x, "new"), 0)
-
-    t2 = euclidean_tree(replace_duplicates=True)
-    t2.insert(Memory(x, "old"), 0)
-    t2.insert(Memory(x, "new"), 0)
-    assert len(t2) == 1
-    assert t2.query(x, 1, 0.0).memories[0].value == "new"
+        t.insert(Memory(x, "new"))
 
 
 def test_insert_leaf_below_capacity_never_splits():
@@ -412,8 +407,8 @@ def test_forced_split_fallback_keeps_both_children_nonempty():
     t = euclidean_tree(c=1.0, alpha=0.9, seed=18)
     z1 = Memory(sv({1: 100.0, 901: 0.001}), 1)
     z2 = Memory(sv({1: 100.0, 902: 0.001}), 2)
-    t.insert(z1, 0)
-    t.insert(z2, 0)
+    t.insert(z1)
+    t.insert(z2)
     assert not t.root.is_leaf
     assert len(t.root.left.mem) == 1 and len(t.root.right.mem) == 1
     assert t.check_invariants() == []
@@ -439,7 +434,7 @@ def test_insert_scores_each_router_once_per_update(monkeypatch):
     monkeypatch.setattr(RouterModel, "update", counting_update)
     t = euclidean_tree(c=1.0, seed=19)
     for z in random_memories(40, seed=19):
-        t.insert(z, 0)
+        t.insert(z)
     assert t.max_depth() >= 3  # several splits redistributed their leaves
     assert calls["update"] > 0
     assert calls["raw"] <= calls["update"]
@@ -450,7 +445,7 @@ def test_insert_scores_each_router_once_per_update(monkeypatch):
 def test_remove_last_memory_leaves_empty_root_leaf():
     t = euclidean_tree()
     z = Memory(sv({1: 1.0}), 0)
-    t.insert(z, 0)
+    t.insert(z)
     removed = t.remove(z.x)
     assert removed is z
     assert len(t) == 0
@@ -471,7 +466,7 @@ def test_remove_splices_out_empty_leaf():
 
 def test_remove_unknown_key_errors_and_leaves_tree_alone():
     t = euclidean_tree()
-    t.insert(Memory(sv({1: 1.0}), 0), 0)
+    t.insert(Memory(sv({1: 1.0}), 0))
     with pytest.raises(UnknownKeyError):
         t.remove(sv({2: 1.0}))
     assert len(t) == 1
@@ -482,7 +477,7 @@ def test_remove_decrements_counts_up_the_path():
     t = euclidean_tree(c=1.0, seed=20)
     memories = random_memories(12, seed=20)
     for z in memories:
-        t.insert(z, 0)
+        t.insert(z)
     before = t.root.n
     t.remove(memories[5].x)
     assert t.root.n == before - 1
@@ -493,7 +488,7 @@ def test_shrinking_store_restores_capacity_invariant():
     t = euclidean_tree(c=1.0, seed=21)
     memories = random_memories(300, seed=21)
     for z in memories:
-        t.insert(z, 0)
+        t.insert(z)
     rng = random.Random(2)
     order = memories[:]
     rng.shuffle(order)
@@ -506,7 +501,7 @@ def test_remove_and_contains_take_an_equal_but_distinct_vector():
     t = euclidean_tree(c=1.0, seed=26)
     memories = random_memories(20, seed=26)
     for z in memories:
-        t.insert(z, 0)
+        t.insert(z)
     z = memories[7]
     twin = SparseVector(z.x.indices, z.x.values)
     assert twin is not z.x and twin == z.x
@@ -585,7 +580,7 @@ def test_reroute_on_empty_tree_is_noop():
 def test_reroute_preserves_single_memory():
     t = euclidean_tree()
     z = Memory(sv({1: 1.0}), 0)
-    t.insert(z, 0)
+    t.insert(z)
     t.reroute()
     assert len(t) == 1
     assert t.query(z.x, 1, 0.0).memories[0] is z
@@ -594,7 +589,7 @@ def test_reroute_preserves_single_memory():
 def test_many_reroutes_keep_invariants():
     t = euclidean_tree(c=2.0, seed=22)
     for z in random_memories(100, seed=22):
-        t.insert(z, 0)
+        t.insert(z)
     for _ in range(1000):
         t.reroute()
         assert t.check_invariants() == []
@@ -606,7 +601,7 @@ def test_many_reroutes_keep_invariants():
 def test_check_invariants_fresh_tree():
     t = euclidean_tree(seed=23)
     for z in random_memories(1000, seed=23):
-        t.insert(z, 0)
+        t.insert(z)
     assert t.check_invariants() == []
 
 
@@ -617,7 +612,7 @@ def test_check_invariants_empty_tree():
 def test_check_invariants_detects_corrupt_count():
     t = euclidean_tree(c=1.0, seed=24)
     for z in random_memories(10, seed=24):
-        t.insert(z, 0)
+        t.insert(z)
     assert not t.root.is_leaf
     t.root.n += 1
     problems = t.check_invariants()
@@ -628,7 +623,7 @@ def test_check_invariants_detects_corrupt_count():
 def test_check_invariants_detects_corrupt_size_index():
     t = euclidean_tree(c=1.0, seed=28)
     for z in random_memories(10, seed=28):
-        t.insert(z, 0)
+        t.insert(z)
     leaf = next(leaf for leaf in t.leaves() if leaf.mem)
     size, n_filled = len(leaf.mem), sum(1 for leaf in t.leaves() if leaf.mem)
     missing = f"leaf of {size} memories missing from the size index"
@@ -652,7 +647,7 @@ def test_check_invariants_detects_empty_leaf_below_root():
 
 def test_self_consistency_single_memory():
     t = euclidean_tree()
-    t.insert(Memory(sv({1: 1.0}), 0), 0)
+    t.insert(Memory(sv({1: 1.0}), 0))
     assert t.measure_self_consistency(t.memories()) == 0.0
 
 
