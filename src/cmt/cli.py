@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     training = ("--alpha", "--leaf-mult", "--reroutes", "--epsilon", "--passes-unsup",
                 "--passes-sup", "--scorer", "--update-on-exploit")
     add_command("train", "build a tree from a dataset")
-    add_command("test", "read-only evaluation of a snapshot", training)
+    p_test = add_command("test", "read-only evaluation of a snapshot", training)
+    p_test.set_defaults(hash_bits=None)  # left out: the snapshot's stored width
     p_ablate = add_command("ablate", "sweep one parameter, train+test per value", ("--snapshot",))
     p_ablate.add_argument("--param", choices=ABLATE_PARAMS, required=True)
     p_ablate.add_argument("--values", required=True,

@@ -117,8 +117,9 @@ class SparseVector:
 
     def norm(self) -> float:
         # a plain left-to-right sum: Python 3.12's sum() compensates; the
-        # learned scorer takes ||x|| from here, and learners._pair_map sums
-        # ||key||^2 in the same order
+        # learned scorer takes ||x|| from here, and both learners._pair_map
+        # and the equal-support pass of ScorerModel.predict sum ||key||^2 in
+        # the same order
         total = 0.0
         for v in self.values:
             total += v * v
@@ -163,12 +164,23 @@ def dot(a: SparseVector, b: SparseVector) -> float:
 
 
 def l2_distance(a: SparseVector, b: SparseVector) -> float:
-    """Euclidean norm of a - b."""
+    """Euclidean norm of a - b.
+
+    Two vectors with one index set (every synth vector, any dense
+    representation) take one zip pass over their values; any other pair
+    takes the merge. Both add each square in index order, left to right, as
+    `learners._pair_map` and `ScorerModel.predict` sum the distance.
+    """
     ai, av = a.indices, a.values
     bi, bv = b.indices, b.values
+    total = 0.0
+    if ai is bi or ai == bi:
+        for p, q in zip(av, bv):
+            d = p - q
+            total += d * d
+        return math.sqrt(total)
     i = j = 0
     na, nb = len(ai), len(bi)
-    total = 0.0
     while i < na and j < nb:
         x, y = ai[i], bi[j]
         if x == y:

@@ -123,7 +123,9 @@ def _pair_map(
     distance, ||key||^2 and the nonzero elementwise products a*b, listed with
     their positions in x. `x_norm` is x.norm(). Each sum runs in the order of
     `dot`, `l2_distance` and `SparseVector.norm`, so the scalars match theirs
-    bit for bit.
+    bit for bit. `ScorerModel.predict` scores a key with x's index set in its
+    own zip pass, making this merge's equal-index steps in the same order;
+    every other pair comes here.
     """
     positions: list[int] = []
     products: list[float] = []
@@ -240,13 +242,31 @@ class ScorerModel(LinearModel):
         The learned score is raw(pair_features(x, key)) clamped to [0, 1],
         summed in the same order: cosine, distance, bias, then each product
         term w * (a*b) in index order, skipping features without a weight.
+
+        A key with x's index set, as every synth and dense key has, is scored
+        in two zip passes (the scalars, then the product terms) that make the
+        merge's float operations in its order without building its lists.
+        Any other key goes through `_pair_map`.
         """
         if self.mode == SCORER_EUCLIDEAN:
             return -l2_distance(x, key)
         if q is None:
             q = self.prepare(x)
         x_norm, w_cos, w_dist, w_bias, w_prod = q
-        sim, dist, positions, products = _pair_map(x, key, x_norm)
+        av, bv = x.values, key.values
+        same_support = x.indices is key.indices or x.indices == key.indices
+        if same_support:
+            xk = dist_sq = key_sq = 0.0
+            for a, b in zip(av, bv):
+                xk += a * b
+                d = a - b
+                dist_sq += d * d
+                key_sq += b * b
+            nk = math.sqrt(key_sq)
+            sim = 0.0 if x_norm == 0.0 or nk == 0.0 else xk / (x_norm * nk)
+            dist = math.sqrt(dist_sq)
+        else:
+            sim, dist, positions, products = _pair_map(x, key, x_norm)
         total = 0.0
         if sim != 0.0 and w_cos is not None:
             total += w_cos * sim
@@ -254,10 +274,17 @@ class ScorerModel(LinearModel):
             total += w_dist * (dist / (1.0 + dist))
         if w_bias is not None:
             total += w_bias  # times the bias feature, 1.0
-        for i, prod in zip(positions, products):
-            wi = w_prod[i]
-            if wi is not None:
-                total += wi * prod
+        if same_support:
+            for wi, a, b in zip(w_prod, av, bv):
+                if wi is not None:
+                    prod = a * b
+                    if prod != 0.0:  # an underflowed product is no feature
+                        total += wi * prod
+        else:
+            for i, prod in zip(positions, products):
+                wi = w_prod[i]
+                if wi is not None:
+                    total += wi * prod
         return max(0.0, min(1.0, total))
 
     def update(self, x: SparseVector, key: SparseVector, r: float) -> None:

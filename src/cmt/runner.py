@@ -62,7 +62,7 @@ class RunConfig:
     epsilon: float = 0.1
     passes_unsup: int = 1
     passes_sup: int = 1
-    hash_bits: int = DEFAULT_BITS
+    hash_bits: Optional[int] = DEFAULT_BITS  # None: `cmd_test` takes the snapshot's
     seed: int = 0
     scorer_mode: str = SCORER_LEARNED
     update_on_exploit: bool = False
@@ -349,7 +349,12 @@ def cmd_train(config: RunConfig) -> dict:
 
 
 def cmd_test(config: RunConfig) -> dict:
-    """Read-only epsilon=0 evaluation of a snapshot against --data."""
+    """Read-only epsilon=0 evaluation of a snapshot against --data.
+
+    The data is hashed at the snapshot's stored width: a `hash_bits` of
+    None takes it, and one that differs from it is a usage error. A snapshot
+    that stores no width is read at `hash_bits`, or the default for None.
+    """
     if not config.snapshot:
         raise DataError("test requires --snapshot")
     tree, saved_config, label_scorers = snapshot_load_full(config.snapshot)
@@ -358,7 +363,13 @@ def cmd_test(config: RunConfig) -> dict:
         raise SnapshotError(
             f"snapshot was trained in mode {saved_mode!r}, requested {config.mode!r}"
         )
-    config.hash_bits = saved_config.get("hash_bits", config.hash_bits)
+    stored_bits = saved_config.get("hash_bits")
+    if config.hash_bits is None:
+        config.hash_bits = DEFAULT_BITS if stored_bits is None else stored_bits
+    elif stored_bits is not None and config.hash_bits != stored_bits:
+        raise ValueError(
+            f"--hash-bits {config.hash_bits} differs from the snapshot's stored width {stored_bits}"
+        )
     train, test = load_dataset(config)
     if not test:
         test = train  # plain files carry no split: evaluate the file itself

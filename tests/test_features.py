@@ -165,12 +165,33 @@ def test_dot_commutes(a, b):
     assert dot(a, b) == dot(b, a)
 
 
-@given(vector_strategy, vector_strategy)
-def test_l2_symmetric_and_nonnegative(a, b):
+def merged_l2(a, b):
+    """l2_distance written out over the union of both supports, in index order."""
+    da, db = dict(a.items()), dict(b.items())
+    total = 0.0
+    for i in sorted(da.keys() | db.keys()):
+        d = da.get(i, 0.0) - db.get(i, 0.0)
+        total += d * d
+    return math.sqrt(total)
+
+
+@given(vector_strategy, vector_strategy,
+       st.lists(st.integers(1, 800).map(lambda n: n / 7), min_size=12, max_size=12))
+def test_l2_symmetric_and_nonnegative(a, b, values):
     d = l2_distance(a, b)
     assert d >= 0.0
     assert d == l2_distance(b, a)
     assert (d == 0.0) == (a == b)
+    # keys on a's index set (its own indices tuple, an equal copy) take the
+    # zip pass, every other pair the merge; differences of tiny values
+    # square to 0.0
+    n = len(a)
+    shared = SparseVector.trusted(a.indices, tuple(values[:n]))
+    copied = SparseVector.trusted(tuple(list(a.indices)), tuple(values[::-1][:n]))
+    tiny = SparseVector.trusted(a.indices, tuple(v * 1e-200 for v in values[:n]))
+    tinier = SparseVector.trusted(tuple(list(a.indices)), tuple(v * 3e-200 for v in values[:n]))
+    for x, k in ((a, b), (a, shared), (a, copied), (a, tiny), (tiny, tinier), (a, SparseVector())):
+        assert l2_distance(x, k) == l2_distance(k, x) == merged_l2(x, k)
 
 
 token_name = st.text(

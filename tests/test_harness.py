@@ -586,6 +586,32 @@ def test_cli_usage_error_exit_code(tmp_path):
                      "--epsilon", epsilon, "--data", missing]) == 2, epsilon
 
 
+def test_cli_test_hash_bits_must_match_the_stored_width(tmp_path, capsys):
+    data = write_multiclass_file(tmp_path / "t.vw", classes=3, shots=2)
+    snap, bare = str(tmp_path / "m.snap"), str(tmp_path / "bare.snap")
+    assert main(["train", "--data", str(data), "--snapshot", snap, "--hash-bits", "12"]) == 0
+    snapshot_save(snapshot_load(snap), bare)  # no stored config, so no stored width
+
+    def run_test(path, *flags):
+        metrics = tmp_path / "test.tsv"
+        argv = ["test", "--data", str(data), "--snapshot", path, "--metrics", str(metrics)]
+        assert main([*argv, *flags]) == 0
+        return metrics.read_bytes()
+
+    # left out or equal, the stored width is used, as is a given width when
+    # none is stored; run_id records the width
+    stored = run_test(snap)
+    assert run_test(snap, "--hash-bits", "12") == stored == run_test(bare, "--hash-bits", "12")
+    assert run_test(bare) != stored
+    capsys.readouterr()
+    # a width that differs from the stored one is a usage error naming both
+    assert main(["test", "--data", str(data), "--snapshot", snap, "--hash-bits", "20"]) == 2
+    err = capsys.readouterr().err
+    assert "--hash-bits 20" in err and "stored width 12" in err
+    # with none stored, the given width is checked as train checks it
+    assert main(["test", "--data", str(data), "--snapshot", bare, "--hash-bits", "40"]) == 2
+
+
 def test_cli_module_entry_point(tmp_path):
     data = write_multiclass_file(tmp_path / "t.vw", classes=3, shots=1)
     # the child imports the same cmt as this process, also when pytest's

@@ -178,6 +178,17 @@ def test_scorer_prediction_clamped_to_unit_interval():
     assert f.predict(x, x) >= 0.0
 
 
+def test_scorer_skips_underflowed_products_whatever_their_weight():
+    # a product that underflows to 0.0 is no feature, so its weight is never
+    # read: an infinite one would turn the score into NaN
+    f = ScorerModel()
+    x = sv({3: 1e-200, 5: 0.5})
+    f.weights[3 + PAIR_PRODUCT_OFFSET] = math.inf
+    f.weights[5 + PAIR_PRODUCT_OFFSET] = 0.5
+    for k in (sv({3: 1e-200, 5: 0.25}), sv({3: 1e-200, 5: 0.25, 7: 1.0})):
+        assert f.predict(x, k) == f.raw(pair_features(x, k)) == 0.0625
+
+
 def test_scorer_converges_toward_target():
     f = ScorerModel()
     x, k = sv({1: 1.0, 2: -0.5}), sv({1: 0.5, 3: 1.0})
@@ -250,12 +261,25 @@ def test_router_update_sparsity(pairs, y, importance):
 
 # -- score reuse: exact equalities with the plain definitions ------------------
 
-# arbitrary (non-dyadic) values, so any change in summation order shows;
-# a narrow index range makes overlapping supports common
+# arbitrary (non-dyadic) values, so any change in summation order shows, and
+# tiny ones whose pairwise products underflow to 0.0 (pair_features drops
+# such a product); a narrow index range makes overlapping supports common
+TINY = (1e-200, -3e-200)
+value = st.floats(-4.0, 4.0) | st.sampled_from(TINY)
 small_vector = st.builds(
     SparseVector.from_pairs,
-    st.lists(st.tuples(st.integers(0, 8), st.floats(-4.0, 4.0)), max_size=6),
+    st.lists(st.tuples(st.integers(0, 8), value), max_size=6),
 )
+
+
+def same_support(x, key):
+    """Keys with x's index set, one on x's own indices tuple and one on an
+    equal copy of it, with key's values (cycled) and x's values reversed."""
+    values = key.values or (1.0,)
+    cycled = tuple(values[i % len(values)] for i in range(len(x)))
+    return [SparseVector.trusted(x.indices, cycled),
+            SparseVector.trusted(tuple(list(x.indices)), x.values[::-1])]
+
 # a disjoint support: indices that small_vector never draws
 far_vector = st.builds(
     SparseVector.from_pairs,
@@ -297,7 +321,7 @@ def reference_pair_features(x, key):
 @settings(max_examples=200)
 @given(small_vector, small_vector, far_vector)
 def test_pair_features_match_the_separate_definitions(x, key, far):
-    for k in (key, far, x, SparseVector()):
+    for k in [key, far, x, SparseVector()] + same_support(x, key):
         assert pair_features(x, k) == reference_pair_features(x, k)
 
 
@@ -308,9 +332,11 @@ def test_scorer_predict_equals_clamped_raw_pair_score(x, keys, far, updates):
     f = ScorerModel()
     for q, k, r in updates:
         f.update(q, k, r)
-    keys = keys + [far, x, SparseVector()]
+    # keys on x's index set take predict's zip passes, the rest the merge
+    keys = keys + [far, x, SparseVector()] + same_support(x, far)
     expected = [max(0.0, min(1.0, f.raw(pair_features(x, k)))) for k in keys]
     assert [f.predict(x, k) for k in keys] == expected
+    assert [max(0.0, min(1.0, f.raw(reference_pair_features(x, k)))) for k in keys] == expected
     euclidean = ScorerModel(mode="euclidean")
     assert [euclidean.predict(x, k) for k in keys] == [-l2_distance(x, k) for k in keys]
 
@@ -327,7 +353,7 @@ def test_prepared_predict_equals_predict_and_clamped_raw(x, keys, updates):
         f.update(q, k, r)
     for query in (x, SparseVector()):
         prepared = f.prepare(query)
-        for k in keys + [x, SparseVector()]:
+        for k in keys + [x, SparseVector()] + same_support(query, updates[0][1] if updates else x):
             expected = max(0.0, min(1.0, f.raw(pair_features(query, k))))
             assert f.predict(query, k, prepared) == f.predict(query, k) == expected
     assert ScorerModel(mode="euclidean").prepare(x) is None
