@@ -21,7 +21,7 @@ from .features import (
     ParseError,
 )
 from .learners import RouterModel, ScorerModel, pair_features
-from .snapshot import SnapshotError, snapshot_load, snapshot_load_full, snapshot_save
+from .snapshot import SnapshotError, snapshot_load_full, snapshot_save
 from .tasks import (
     MulticlassExample,
     MultilabelExample,
@@ -60,7 +60,7 @@ __all__ = [
     "SparseVector", "cosine", "dot", "fingerprint", "fnv1a64", "hash_features",
     "l2_distance", "parse_line", "render_line", "LabeledLine", "ParseError",
     "RouterModel", "ScorerModel", "pair_features",
-    "SnapshotError", "snapshot_load", "snapshot_load_full", "snapshot_save",
+    "SnapshotError", "snapshot_load_full", "snapshot_save",
     "MulticlassExample", "MultilabelExample", "OASModel", "RetrievalPair",
     "entropy_reduction", "f1_reward", "hamming_loss", "mc_evaluate",
     "mc_progressive_run", "mc_step", "nn_linear_scan", "oas_step", "retrieval_step",

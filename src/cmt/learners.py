@@ -79,10 +79,6 @@ class LinearModel:
 class RouterModel(LinearModel):
     """Importance-weighted online logistic classifier used at internal nodes."""
 
-    def predict(self, x: SparseVector) -> int:
-        """Hard decision in {-1, +1}; a tied score of 0 predicts -1 (left)."""
-        return 1 if self.raw(x) > 0.0 else -1
-
     def update(
         self, x: SparseVector, y: int, importance: float, score: Optional[float] = None
     ) -> float:

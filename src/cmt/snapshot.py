@@ -204,11 +204,6 @@ def snapshot_save(
             os.remove(tmp)  # already gone once it has replaced path
 
 
-def snapshot_load(path: str) -> Tree:
-    tree, _, _ = snapshot_load_full(path)
-    return tree
-
-
 def snapshot_load_full(path: str) -> tuple[Tree, dict, dict[int, RouterModel]]:
     """Rebuild a tree; also return the stored run config and label scorers."""
     try:

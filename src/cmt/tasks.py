@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .features import SparseVector, cosine, l2_distance
 from .learners import RouterModel
-from .tree import Memory, Tree
+from .tree import Memory, Tree, path
 
 MODE_ONLINE = "online"
 
@@ -174,15 +174,26 @@ def oas_step(
     train: bool,
     epsilon: float = 0.1,
 ):
-    """One multilabel round: leaf-sized query, OAS inference over the
-    returned labels, then (in training) OAS + tree updates and an insert.
+    """One multilabel round: read a leaf, OAS inference over its labels,
+    then (in training) OAS + tree updates and an insert.
+
+    A test read takes the leaf that the deterministic descent reaches,
+    unranked: an epsilon=0 query for k = capacity memories returns that
+    leaf whole, since no leaf holds more than capacity, and the answer is
+    the set of their labels. So it scores no memory and draws nothing from
+    `t.rng`. A training read still ranks: it explores with probability
+    epsilon, `Tree.update` credits its top memory, and its draws are part
+    of the seeded training trajectory.
 
     Returns (predicted label set, candidate label set).
     """
-    k = t.capacity()
-    result = t.query(ex.x, k, epsilon if train else 0.0)
+    if train:
+        result = t.query(ex.x, t.capacity(), epsilon)
+        memories = result.memories
+    else:
+        memories = path(ex.x, t.root).leaf.mem
     candidates: set[int] = set()
-    for z in result.memories:
+    for z in memories:
         candidates |= z.value
     scores = oas.scores(candidates, ex.x)
     predicted = oas.predict(candidates, ex.x, scores)

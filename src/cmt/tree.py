@@ -10,6 +10,8 @@ placement of old memories after routers drift.
 
 Mutating operations (insert / remove / reroute / update) must be externally
 serialized; epsilon=0 queries are read-only apart from tie-breaking draws.
+Multilabel test reads (`tasks.oas_step` with train=False) take the leaf that
+`path` reaches without ranking it, so they never draw from the generator.
 """
 
 from __future__ import annotations

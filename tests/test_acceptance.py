@@ -14,7 +14,7 @@ import pytest
 from cmt.features import SparseVector
 from cmt.learners import ScorerModel, pair_features
 from cmt.runner import RunConfig, cmd_bench, cmd_train
-from cmt.snapshot import snapshot_load, snapshot_save
+from cmt.snapshot import snapshot_load_full, snapshot_save
 from cmt.synth import multiclass_clusters, multilabel_topics, random_keys
 from cmt.tasks import (
     MulticlassExample,
@@ -309,7 +309,7 @@ def test_c10_determinism_and_persistence(tmp_path):
     expected = [
         tuple(z.key_fingerprint for z in t.query(x, 3, 0.0).memories) for x in probes
     ]
-    loaded = snapshot_load(str(snap))
+    loaded = snapshot_load_full(str(snap))[0]
     got = [
         tuple(z.key_fingerprint for z in loaded.query(x, 3, 0.0).memories) for x in probes
     ]

@@ -22,7 +22,7 @@ from cmt.features import (
     render_line,
 )
 from cmt.learners import ScorerModel, pair_features
-from cmt.snapshot import snapshot_load, snapshot_save
+from cmt.snapshot import snapshot_load_full, snapshot_save
 from cmt.synth import generate as synth_generate, random_keys
 from cmt.tree import Memory, Tree
 
@@ -246,7 +246,7 @@ def test_fingerprint_equals_uncached_digest_on_every_call(a, b, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.snap")
         snapshot_save(t, path)
-        reloaded = [z.x for z in snapshot_load(path).memories()]
+        reloaded = [z.x for z in snapshot_load_full(path)[0].memories()]
     assert reloaded
     for v in reloaded:
         assert fingerprint(v) == _digest_ref(v)

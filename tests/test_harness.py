@@ -15,7 +15,7 @@ from cmt.cli import main
 from cmt.features import MODES
 from cmt.learners import ScorerModel
 from cmt.runner import RunConfig, cmd_ablate, cmd_bench, cmd_test, cmd_train, load_dataset
-from cmt.snapshot import MAGIC, SnapshotError, snapshot_load, snapshot_load_full, snapshot_save
+from cmt.snapshot import MAGIC, SnapshotError, snapshot_load_full, snapshot_save
 from cmt.synth import random_keys
 from cmt.tree import Memory, Tree
 
@@ -53,7 +53,7 @@ def test_snapshot_round_trip_preserves_queries(tmp_path):
     expected = [
         [z.key_fingerprint for z in t.query(x, 3, 0.0).memories] for x in probes
     ]
-    loaded = snapshot_load(str(snap))
+    loaded = snapshot_load_full(str(snap))[0]
     assert loaded.check_invariants() == []
     got = [
         [z.key_fingerprint for z in loaded.query(x, 3, 0.0).memories] for x in probes
@@ -65,7 +65,7 @@ def test_snapshot_empty_tree_round_trips(tmp_path):
     t = Tree()
     snap = tmp_path / "empty.snap"
     snapshot_save(t, str(snap))
-    loaded = snapshot_load(str(snap))
+    loaded = snapshot_load_full(str(snap))[0]
     assert len(loaded) == 0
     assert loaded.check_invariants() == []
 
@@ -78,7 +78,7 @@ def test_snapshot_preserves_value_payloads(tmp_path):
     t.insert(Memory(keys[2], keys[0]))
     snap = tmp_path / "vals.snap"
     snapshot_save(t, str(snap))
-    loaded = snapshot_load(str(snap))
+    loaded = snapshot_load_full(str(snap))[0]
     values = {z.key_fingerprint: z.value for z in loaded.memories()}
     assert values[Memory(keys[0], 0).key_fingerprint] == 42
     assert values[Memory(keys[1], 0).key_fingerprint] == frozenset({1, 5})
@@ -93,19 +93,19 @@ def test_snapshot_truncated_file_errors(tmp_path):
     for cut in (0, 4, len(data) // 2, len(data) - 1):
         (tmp_path / "cut.snap").write_bytes(data[:cut])
         with pytest.raises(SnapshotError):
-            snapshot_load(str(tmp_path / "cut.snap"))
+            snapshot_load_full(str(tmp_path / "cut.snap"))
 
 
 def test_snapshot_bad_magic_errors(tmp_path):
     bad = tmp_path / "bad.snap"
     bad.write_bytes(b"NOTASNAP" + b"\x00" * 64)
     with pytest.raises(SnapshotError):
-        snapshot_load(str(bad))
+        snapshot_load_full(str(bad))
 
 
 def test_snapshot_missing_file_errors(tmp_path):
     with pytest.raises(SnapshotError):
-        snapshot_load(str(tmp_path / "absent.snap"))
+        snapshot_load_full(str(tmp_path / "absent.snap"))
 
 
 def test_snapshot_with_a_repeated_key_errors(tmp_path, monkeypatch):
@@ -120,7 +120,7 @@ def test_snapshot_with_a_repeated_key_errors(tmp_path, monkeypatch):
     snap = tmp_path / "dup.snap"
     snapshot_save(t, str(snap))
     with pytest.raises(SnapshotError):
-        snapshot_load(str(snap))
+        snapshot_load_full(str(snap))
 
 
 def header_span(data: bytes) -> tuple[int, int]:
@@ -145,7 +145,7 @@ def test_snapshot_round_trip_is_byte_stable(tmp_path):
     t = build_tree(50, seed=8)
     a, b = tmp_path / "a.snap", tmp_path / "b.snap"
     snapshot_save(t, str(a))
-    loaded = snapshot_load(str(a))
+    loaded = snapshot_load_full(str(a))[0]
     snapshot_save(loaded, str(b))
     assert a.read_bytes() == b.read_bytes()
     assert "base_rate" not in read_header(a.read_bytes())
@@ -267,7 +267,7 @@ def test_empty_data_file_trains_to_empty_snapshot(tmp_path):
     )
     summary = cmd_train(config)
     assert summary["stored"] == 0
-    assert snapshot_load(str(tmp_path / "empty.snap")).check_invariants() == []
+    assert snapshot_load_full(str(tmp_path / "empty.snap"))[0].check_invariants() == []
     assert (tmp_path / "empty.tsv").read_text().startswith("run_id")
 
 
@@ -283,7 +283,7 @@ def test_unsupervised_euclidean_test_error_equals_self_consistency(tmp_path):
         seed=2,
     )
     cmd_train(config)
-    tree = snapshot_load(str(tmp_path / "u.snap"))
+    tree = snapshot_load_full(str(tmp_path / "u.snap"))[0]
     sc_error = tree.measure_self_consistency(list(tree.memories()))
 
     result = cmd_test(RunConfig(data=str(data), snapshot=str(tmp_path / "u.snap"), seed=2))
@@ -354,7 +354,7 @@ def test_ablate_trains_the_model_train_saves(tmp_path, update_on_exploit):
                     update_on_exploit=update_on_exploit)
     (row,) = cmd_ablate(RunConfig(**settings), "c", [4.0])
     cmd_train(RunConfig(snapshot=str(tmp_path / "m.snap"), **settings))
-    tree = snapshot_load(str(tmp_path / "m.snap"))
+    tree = snapshot_load_full(str(tmp_path / "m.snap"))[0]
     assert row["self_consistency_error"] == tree.measure_self_consistency(tree.memories())
 
 
@@ -486,7 +486,7 @@ def test_cli_largest_stored_label_round_trips(tmp_path):
     data.write_text("9223372036854775807 | a:1\n0 | b:1\n", encoding="utf-8")
     snap = tmp_path / "m.snap"
     assert main(["train", "--data", str(data), "--snapshot", str(snap)]) == 0
-    assert {z.value for z in snapshot_load(str(snap)).memories()} == {2**63 - 1, 0}
+    assert {z.value for z in snapshot_load_full(str(snap))[0].memories()} == {2**63 - 1, 0}
 
 
 def test_cli_snapshot_error_exit_code(tmp_path):
@@ -590,7 +590,7 @@ def test_cli_test_hash_bits_must_match_the_stored_width(tmp_path, capsys):
     data = write_multiclass_file(tmp_path / "t.vw", classes=3, shots=2)
     snap, bare = str(tmp_path / "m.snap"), str(tmp_path / "bare.snap")
     assert main(["train", "--data", str(data), "--snapshot", snap, "--hash-bits", "12"]) == 0
-    snapshot_save(snapshot_load(snap), bare)  # no stored config, so no stored width
+    snapshot_save(snapshot_load_full(snap)[0], bare)  # no stored config, so no stored width
 
     def run_test(path, *flags):
         metrics = tmp_path / "test.tsv"

@@ -16,6 +16,7 @@ from cmt.learners import (
     pair_features,
     sigmoid,
 )
+from cmt.tree import LEFT, Internal, Leaf, PathStep, path
 
 
 def sv(mapping):
@@ -30,7 +31,11 @@ X = sv({1: 2.0})
 def test_fresh_router_scores_zero_and_routes_left():
     g = RouterModel()
     assert g.raw(X) == 0.0
-    assert g.predict(X) == -1  # tie goes left
+    node = Internal(None, g)
+    node.left, node.right = Leaf(node), Leaf(node)
+    record = path(X, node)  # a tied score of 0 goes left
+    assert record.steps == (PathStep(node, LEFT),)
+    assert record.leaf is node.left
 
 
 def test_router_one_step_matches_hand_gradient():

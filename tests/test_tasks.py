@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from cmt.features import SparseVector, l2_distance
-from cmt.learners import RouterModel, ScorerModel
+from cmt.features import MODE_MULTILABEL, SparseVector, l2_distance
+from cmt.learners import SCORER_LEARNED, RouterModel, ScorerModel
+from cmt.runner import MultilabelTask, RunConfig, fit
+from cmt.snapshot import snapshot_save
 from cmt.tasks import (
     MulticlassExample,
     MultilabelExample,
@@ -210,6 +212,59 @@ def test_oas_learns_topic_blocks():
     losses = [hamming_loss(oas_step(t, oas, ex, train=False)[0], ex.labels) for ex in test]
     empty_loss = sum(len(ex.labels) for ex in test) / len(test)
     assert sum(losses) / len(losses) < empty_loss
+
+
+def sparse_examples(examples, seed: int) -> list[MultilabelExample]:
+    """The examples with each key entry dropped with probability 1/2, so keys
+    differ in support where synth keys all share one index set."""
+    rng = random.Random(seed)
+    out = []
+    for ex in examples:
+        kept = [(i, v) for i, v in ex.x.items() if rng.random() < 0.5]
+        x = SparseVector(*zip(*kept)) if kept else SparseVector()
+        out.append(MultilabelExample(x, ex.labels))
+    return out
+
+
+def ranked_oas_read(t: Tree, oas: OASModel, x: SparseVector):
+    """A test read through an epsilon=0 query for capacity memories."""
+    candidates: set[int] = set()
+    for z in t.query(x, t.capacity(), 0.0).memories:
+        candidates |= z.value
+    return oas.predict(candidates, x), candidates
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["synth", "sparse"])
+@pytest.mark.parametrize("seed", range(5))
+def test_oas_test_read_matches_the_ranked_capacity_query(seed, sparse):
+    train, test = multilabel_topics(examples=200, labels=24, test_examples=60, seed=seed)
+    if sparse:
+        train, test = sparse_examples(train, seed), sparse_examples(test, seed + 100)
+    t = Tree(seed=seed, d=1)
+    oas = OASModel()
+    for ex in test[:3]:  # the empty tree
+        assert oas_step(t, oas, ex, train=False) == ranked_oas_read(t, oas, ex.x) == (set(), set())
+    for ex in train:
+        oas_step(t, oas, ex, train=True, epsilon=0.1)
+    for ex in test:
+        assert oas_step(t, oas, ex, train=False) == ranked_oas_read(t, oas, ex.x)
+
+
+def test_multilabel_eval_pass_is_read_only(tmp_path):
+    train, test = multilabel_topics(examples=200, labels=24, test_examples=60, seed=2)
+    task = MultilabelTask(RunConfig(mode=MODE_MULTILABEL, d=1, seed=2))
+    tree, _ = fit(task.config, task, train)
+    assert tree.f.mode == SCORER_LEARNED
+
+    def saved(name: str) -> bytes:
+        snapshot_save(tree, str(tmp_path / name), label_scorers=task.label_scorers)
+        return (tmp_path / name).read_bytes()
+
+    state, before = tree.rng.getstate(), saved("before.snap")
+    for ex in test:
+        task.eval_step(tree, ex)
+    assert tree.rng.getstate() == state
+    assert saved("after.snap") == before
 
 
 # -- retrieval -----------------------------------------------------------------------
