@@ -30,7 +30,6 @@ from .tasks import (
     entropy_reduction,
     f1_reward,
     hamming_loss,
-    mc_evaluate,
     mc_progressive_run,
     mc_step,
     nn_linear_scan,
@@ -62,7 +61,7 @@ __all__ = [
     "RouterModel", "ScorerModel", "pair_features",
     "SnapshotError", "snapshot_load_full", "snapshot_save",
     "MulticlassExample", "MultilabelExample", "OASModel", "RetrievalPair",
-    "entropy_reduction", "f1_reward", "hamming_loss", "mc_evaluate",
+    "entropy_reduction", "f1_reward", "hamming_loss",
     "mc_progressive_run", "mc_step", "nn_linear_scan", "oas_step", "retrieval_step",
     "Deviation", "DuplicateKeyError", "Internal", "Leaf", "LeafExplore", "Memory",
     "PathRecord", "PathStep", "QueryResult", "Tree", "UnknownKeyError",

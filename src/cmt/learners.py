@@ -291,14 +291,3 @@ class ScorerModel(LinearModel):
         phi = pair_features(x, key)
         self.update_count += 1
         self._step(phi, self.raw(phi) - r)
-
-    def loss(self, x: SparseVector, key: SparseVector, r: float) -> float:
-        """Squared loss on the raw (unclamped) score; gradient() differentiates this."""
-        e = self.raw(pair_features(x, key)) - r
-        return 0.5 * e * e
-
-    def gradient(self, x: SparseVector, key: SparseVector, r: float) -> dict[int, float]:
-        """Per-feature analytic gradient of loss() at the current weights."""
-        phi = pair_features(x, key)
-        e = self.raw(phi) - r
-        return {i: e * v for i, v in zip(phi.indices, phi.values)}

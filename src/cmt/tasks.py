@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .features import SparseVector, cosine, l2_distance
 from .learners import RouterModel
-from .tree import Memory, Tree, path
+from .tree import LeafExplore, Memory, Tree
 
 MODE_ONLINE = "online"
 
@@ -84,8 +84,8 @@ def mc_step(
         reward = 1.0 if correct else 0.0
         if result.key is not None:
             t.update(ex.x, top, reward, result.key)
-        elif update_on_exploit:
-            t.update_scorer_on_exploit(ex.x, top, reward)
+        elif update_on_exploit:  # extra scorer credit for an exploit read
+            t.update(ex.x, top, reward, LeafExplore(t.M[top.key_fingerprint]))
     else:
         predicted = None
         correct = False
@@ -117,18 +117,6 @@ def mc_progressive_run(t: Tree, stream, epsilon: float, **step_kwargs):
         span = total % ACCURACY_WINDOW
         trace.append((total, window_hits / span, hits / total))
     return (hits / total if total else 0.0), trace
-
-
-def mc_evaluate(t: Tree, stream) -> tuple[float, int]:
-    """Read-only pass: epsilon=0 queries, no updates, no inserts."""
-    hits = 0
-    total = 0
-    for ex in stream:
-        result = t.query(ex.x, 1, 0.0)
-        if result.memories and result.memories[0].value == ex.label:
-            hits += 1
-        total += 1
-    return (hits / total if total else 0.0), total
 
 
 class OASModel:
@@ -177,30 +165,24 @@ def oas_step(
     """One multilabel round: read a leaf, OAS inference over its labels,
     then (in training) OAS + tree updates and an insert.
 
-    A test read takes the leaf that the deterministic descent reaches,
-    unranked: an epsilon=0 query for k = capacity memories returns that
-    leaf whole, since no leaf holds more than capacity, and the answer is
-    the set of their labels. So it scores no memory and draws nothing from
-    `t.rng`. A training read still ranks: it explores with probability
-    epsilon, `Tree.update` credits its top memory, and its draws are part
-    of the seeded training trajectory.
+    The read asks `Tree.query` for its landing leaf whole (k=None), since
+    the answer is the set of the leaf's labels, and only a training read
+    explores. An exploit read scores no memory and draws nothing from
+    `t.rng`; an exploration read puts the memory it picked first, and
+    `Tree.update` credits that memory.
 
     Returns (predicted label set, candidate label set).
     """
-    if train:
-        result = t.query(ex.x, t.capacity(), epsilon)
-        memories = result.memories
-    else:
-        memories = path(ex.x, t.root).leaf.mem
+    result = t.query(ex.x, None, epsilon if train else 0.0)
     candidates: set[int] = set()
-    for z in memories:
+    for z in result.memories:
         candidates |= z.value
     scores = oas.scores(candidates, ex.x)
     predicted = oas.predict(candidates, ex.x, scores)
     if train:
         if candidates:
             oas.update(candidates, ex.x, ex.labels, scores)
-        if result.key is not None and result.memories:
+        if result.key is not None:
             top = result.memories[0]
             t.update(ex.x, top, f1_reward(ex.labels, top.value), result.key)
         if not t.contains(ex.x):

@@ -9,9 +9,9 @@ reroute operation (remove a random memory, re-insert it) repairs the
 placement of old memories after routers drift.
 
 Mutating operations (insert / remove / reroute / update) must be externally
-serialized; epsilon=0 queries are read-only apart from tie-breaking draws.
-Multilabel test reads (`tasks.oas_step` with train=False) take the leaf that
-`path` reaches without ranking it, so they never draw from the generator.
+serialized. A read draws from the tree's generator only to explore, so
+epsilon=0 queries are read-only: exact score ties are ordered by a keyed
+hash of the query and the memory, not by random draws.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from hashlib import blake2b
+from itertools import groupby
+from operator import itemgetter
 from random import Random
 from typing import Any, Iterator, NamedTuple, Optional, Union
 
@@ -257,48 +260,77 @@ class Tree:
 
     # -- query -------------------------------------------------------------
 
-    def query(self, x: SparseVector, k: int = 1, epsilon: float = 0.0) -> QueryResult:
-        """Return up to k memories and, when exploration fired, an update key."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
+    def query(self, x: SparseVector, k: Optional[int] = 1, epsilon: float = 0.0) -> QueryResult:
+        """Return up to k memories and, when exploration fired, an update key.
+
+        Only exploration, taken with probability epsilon, draws from `rng`.
+        k=None returns the whole leaf: in stored order and unscored on an
+        exploit read, and with its pick first on an exploration read (the
+        best-scored memory after a router flip, a random one after a leaf
+        sample).
+        """
+        if k is not None and k < 1:
+            raise ValueError("k must be >= 1 or None")
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         if not self.M:
             return QueryResult(None, ())
         record = path(x, self.root)
-        if epsilon == 0.0 or self.rng.random() >= epsilon:
-            return QueryResult(None, tuple(self.top_k(record.leaf, x, k)))
-        n_steps = len(record.steps)
-        i = int(self.rng.random() * (n_steps + 1))  # uniform on 0..n_steps
-        if i < n_steps:
-            node = record.steps[i].node
-            flipped = RIGHT if self.rng.random() < 0.5 else LEFT
-            child = node.right if flipped == RIGHT else node.left
-            leaf = path(x, child).leaf
-            return QueryResult(Deviation(node, flipped, 0.5), tuple(self.top_k(leaf, x, k)))
-        return QueryResult(LeafExplore(record.leaf), tuple(self.rand_k(record.leaf, x, k)))
+        key, leaf, pick = None, record.leaf, self.top_k
+        if epsilon > 0.0 and self.rng.random() < epsilon:
+            n_steps = len(record.steps)
+            i = int(self.rng.random() * (n_steps + 1))  # uniform on 0..n_steps
+            if i < n_steps:
+                node = record.steps[i].node
+                flipped = RIGHT if self.rng.random() < 0.5 else LEFT
+                leaf = path(x, node.right if flipped == RIGHT else node.left).leaf
+                key = Deviation(node, flipped, 0.5)
+            else:
+                key, pick = LeafExplore(leaf), self.rand_k
+        if k is not None:
+            return QueryResult(key, tuple(pick(leaf, x, k)))
+        if key is None:
+            return QueryResult(None, tuple(leaf.mem))
+        first = pick(leaf, x, 1)[0]
+        return QueryResult(key, (first, *(z for z in leaf.mem if z is not first)))
 
     def top_k(self, leaf: Leaf, x: SparseVector, k: int) -> list[Memory]:
-        """Best-scored min(k, |mem|) memories; exact score ties are shuffled.
+        """Best-scored min(k, |mem|) memories; exact ties go by `_tie_order`.
 
         The scorer prepares x once per call; each memory is still scored by
         its own `predict` call, the leaf-scoring layer perfbench times.
         """
         f = self.f
         q = f.prepare(x)
-        scored = sorted(
-            ((-f.predict(x, z.x, q), idx) for idx, z in enumerate(leaf.mem)),
-        )
-        # permute runs of equal score so ties are broken uniformly
-        start = 0
-        while start < len(scored):
-            end = start + 1
-            while end < len(scored) and scored[end][0] == scored[start][0]:
-                end += 1
-            if end - start > 1:
-                self._shuffle_span(scored, start, end)
-            start = end
-        return [leaf.mem[idx] for _, idx in scored[:k]]
+        if k == 1:
+            best, tied = -math.inf, []
+            for z in leaf.mem:
+                s = f.predict(x, z.x, q)
+                if s > best:
+                    best, tied = s, [z]
+                elif s == best:
+                    tied.append(z)
+            return tied if len(tied) < 2 else [min(tied, key=self._tie_order(x))]
+        mem = leaf.mem
+        scored = sorted((-f.predict(x, z.x, q), idx) for idx, z in enumerate(mem))
+        ranked: list[Memory] = []
+        order = None
+        for _, run in groupby(scored, key=itemgetter(0)):
+            run = [mem[idx] for _, idx in run]
+            if len(run) > 1:
+                order = order or self._tie_order(x)
+                run.sort(key=order)
+            ranked.extend(run)
+            if len(ranked) >= k:
+                break
+        return ranked[:k]
+
+    def _tie_order(self, x: SparseVector):
+        """Sort key for memories tied in a read of x: blake2b over (seed, x's
+        fingerprint, the memory's). Hashing the pair, not e.g. their XOR, keeps
+        a stored key read back from winning every tie it enters."""
+        prefix = b"%d %d " % (self.seed, fingerprint(x))
+        return lambda z: blake2b(prefix + b"%d" % z.key_fingerprint, digest_size=8).digest()
 
     def rand_k(self, leaf: Leaf, x: SparseVector, k: int) -> list[Memory]:
         """Uniform subset of min(k, |mem|) memories, without replacement."""
@@ -309,12 +341,6 @@ class Tree:
             j = i + int(rng.random() * (len(pool) - i))
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:take]
-
-    def _shuffle_span(self, items: list, start: int, end: int) -> None:
-        rng = self.rng
-        for i in range(end - 1, start, -1):
-            j = start + int(rng.random() * (i - start + 1))
-            items[i], items[j] = items[j], items[i]
 
     # -- learning update ---------------------------------------------------
 
@@ -340,11 +366,6 @@ class Tree:
             raise TypeError(f"bad update key {key!r}")
         for _ in range(self.d):
             self.reroute()
-
-    def update_scorer_on_exploit(self, x: SparseVector, z: Memory, r: float) -> None:
-        """Optional extra credit for non-exploratory returns (off by default)."""
-        leaf = self.M.get(z.key_fingerprint)
-        self.update(x, z, r, LeafExplore(leaf) if leaf is not None else None)
 
     def _in_tree(self, node: Node) -> bool:
         while node.parent is not None:

@@ -12,8 +12,8 @@ import random
 import pytest
 
 from cmt.features import SparseVector
-from cmt.learners import ScorerModel, pair_features
-from cmt.runner import RunConfig, cmd_bench, cmd_train
+from cmt.learners import BASE_RATE, ScorerModel, pair_features
+from cmt.runner import MulticlassTask, RunConfig, cmd_bench, cmd_train, evaluate
 from cmt.snapshot import snapshot_load_full, snapshot_save
 from cmt.synth import multiclass_clusters, multilabel_topics, random_keys
 from cmt.tasks import (
@@ -21,7 +21,6 @@ from cmt.tasks import (
     OASModel,
     entropy_reduction,
     hamming_loss,
-    mc_evaluate,
     mc_progressive_run,
     nn_linear_scan,
     oas_step,
@@ -213,8 +212,8 @@ def test_c07_few_shot_classification():
                 t.insert(z)
         for _ in range(2):
             mc_progressive_run(t, train, 0.1, update_on_exploit=True)
-        accuracy, _ = mc_evaluate(t, test)
-        cmt_accs.append(accuracy)
+        metrics, _ = evaluate(MulticlassTask(RunConfig()), t, test)
+        cmt_accs.append(metrics["accuracy"])
         store = [Memory(ex.x, ex.label) for ex in train]
         nn_accs.append(
             sum(1 for ex in test if nn_linear_scan(store, ex.x, 1)[0].value == ex.label)
@@ -230,6 +229,9 @@ def test_c07_few_shot_classification():
 
 
 def test_c08_scorer_gradient_check():
+    # With fresh AdaGrad state one ScorerModel.update moves weight i by
+    # -BASE_RATE * g / sqrt(g^2 + 1); the g solved from that move must be the
+    # gradient of 0.5 * (raw(phi) - r)^2, taken here by finite differences.
     rng = random.Random(808)
     worst = 0.0
     for _ in range(100):
@@ -241,20 +243,31 @@ def test_c08_scorer_gradient_check():
             (rng.randrange(60), rng.uniform(-2, 2)) for _ in range(rng.randrange(1, 7))
         )
         r = rng.random()
-        for i in pair_features(x, key).indices:
+        phi = pair_features(x, key)
+        for i in phi.indices:
             f.weights[i] = rng.uniform(-1, 1)
-        for i, g in f.gradient(x, key, r).items():
+        start = dict(f.weights)
+
+        def loss() -> float:
+            e = f.raw(phi) - r
+            return 0.5 * e * e
+
+        numeric = {}
+        for i in phi.indices:
             eps = 1e-5
-            base = f.weights[i]
-            f.weights[i] = base + eps
-            up = f.loss(x, key, r)
-            f.weights[i] = base - eps
-            down = f.loss(x, key, r)
-            f.weights[i] = base
-            numeric = (up - down) / (2 * eps)
-            scale = max(abs(numeric), 1e-9)
-            worst = max(worst, abs(g - numeric) / scale)
-    _report(8, "analytic scorer gradient matches finite differences",
+            f.weights[i] = start[i] + eps
+            up = loss()
+            f.weights[i] = start[i] - eps
+            down = loss()
+            f.weights[i] = start[i]
+            numeric[i] = (up - down) / (2 * eps)
+        f.update(x, key, r)
+        for i in phi.indices:
+            u = (start[i] - f.weights[i]) / BASE_RATE
+            g = u / math.sqrt(1.0 - u * u)
+            scale = max(abs(numeric[i]), 1e-9)
+            worst = max(worst, abs(g - numeric[i]) / scale)
+    _report(8, "the scorer's update steps along the finite-difference gradient",
             worst < 1e-4, f"worst relative error={worst:.2e}")
 
 

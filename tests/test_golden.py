@@ -27,19 +27,19 @@ RUNS = {
 GOLDEN = {
     "euclidean.snap": "7238da5f06014028981e418c6e458f5f",
     "euclidean.reads": "81f992f34a880d62a3ea40780c9cb2db",
-    "learned.snap": "5fc31c4c61c5805e5df516276ac99a36",
-    "learned.reads": "64292e2e3e10d4241d7556598f41e175",
-    "multiclass.snap": "ccbf8b41416ef50002a6e378c63d62dc",
-    "multiclass.train.tsv": "4e1e60d05b4567b61a26bb3fdae31926",
-    "multiclass.test.tsv": "f6ec3071f5c047719b4f44362589555f",
-    "multilabel.snap": "c6162ff2c974bdb191e202db98d5b5bc",
-    "multilabel.train.tsv": "ecf540a07a6a59c56a1769c7b44e7938",
-    "multilabel.test.tsv": "85f12bed661c22ddbc181121372ecc88",
-    "retrieval.snap": "2ada8d27d1956a3c21fea0bc0c9e6e31",
-    "retrieval.train.tsv": "4cec40452a78e23045155eafb01f2c4b",
-    "retrieval.test.tsv": "14275d5852dffba57f4f5df0f53cd40b",
-    "multiclass.rerouted.snap": "a6a1399bb6b9f72b301ba877f951b8cd",
-    "ablate_d.tsv": "31d9e5d5e3dcd7c7a7b216c07cb7eb24",
+    "learned.snap": "d4bb45a8a1476adcb744156a3ed2c20d",
+    "learned.reads": "4c8801ca534d0676c0e9688d63ec8161",
+    "multiclass.snap": "96a9df959c3950ebca869c9198aa2bf1",
+    "multiclass.train.tsv": "31d22114e31e78d87a827113216295b4",
+    "multiclass.test.tsv": "0b1ca9f80d8ad357ba4e91954b058a14",
+    "multilabel.snap": "f93b21a91b5e55cfb7d0c015813bb4db",
+    "multilabel.train.tsv": "18f4e53a7afb965bf0ea3f084fd716c7",
+    "multilabel.test.tsv": "8cae580c745d2738cf5b9a647cd2eaef",
+    "retrieval.snap": "b5e927c1598aa74417c0df7aeb240998",
+    "retrieval.train.tsv": "4e90a528f221ef8ccac5c49fbb77dfbc",
+    "retrieval.test.tsv": "cc18da82c58b8421ecdab41593e67ac9",
+    "multiclass.rerouted.snap": "ee020fd694a8708f88c7eb660919f119",
+    "ablate_d.tsv": "5ecbc792ff4148039cbac1ef1bc950e0",
 }
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cmt.features import SparseVector, cosine, dot, l2_distance
 from cmt.learners import (
+    BASE_RATE,
     PAIR_BIAS,
     PAIR_COSINE,
     PAIR_DISTANCE,
@@ -219,27 +220,35 @@ def test_scorer_rejects_out_of_range_reward():
 
 
 def test_scorer_gradient_matches_finite_differences():
+    # two updates from fresh AdaGrad state: the second step of weight i is
+    # -BASE_RATE * g2 / sqrt(g1^2 + g2^2 + 1), g1 and g2 the finite-difference
+    # gradients of 0.5 * (raw(phi) - r)^2 before each step
     rng = random.Random(7)
     for _ in range(100):
         f = ScorerModel()
         x = sv({rng.randrange(50): rng.uniform(-2, 2) for _ in range(rng.randrange(1, 6))})
         k = sv({rng.randrange(50): rng.uniform(-2, 2) for _ in range(rng.randrange(1, 6))})
         r = rng.random()
-        # random starting point
         phi = pair_features(x, k)
         for i in phi.indices:
             f.weights[i] = rng.uniform(-1, 1)
-        grad = f.gradient(x, k, r)
-        for i, g in grad.items():
-            eps = 1e-5
-            base = f.weights[i]
-            f.weights[i] = base + eps
-            up = f.loss(x, k, r)
-            f.weights[i] = base - eps
-            down = f.loss(x, k, r)
-            f.weights[i] = base
-            numeric = (up - down) / (2 * eps)
-            assert g == pytest.approx(numeric, rel=1e-4, abs=1e-9)
+        acc = dict.fromkeys(phi.indices, 1.0)
+        for _ in range(2):
+            start = dict(f.weights)
+            grad = {}
+            for i in phi.indices:
+                eps = 1e-5
+                f.weights[i] = start[i] + eps
+                up = 0.5 * (f.raw(phi) - r) ** 2
+                f.weights[i] = start[i] - eps
+                down = 0.5 * (f.raw(phi) - r) ** 2
+                f.weights[i] = start[i]
+                grad[i] = (up - down) / (2 * eps)
+            f.update(x, k, r)
+            for i, g in grad.items():
+                acc[i] += g * g
+                step = BASE_RATE * g / math.sqrt(acc[i])
+                assert start[i] - f.weights[i] == pytest.approx(step, rel=1e-4, abs=1e-9)
 
 
 def test_sigmoid_is_stable_at_extremes():

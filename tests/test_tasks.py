@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from cmt.features import MODE_MULTILABEL, SparseVector, l2_distance
+from cmt.features import MODE_MULTICLASS, MODE_MULTILABEL, MODE_RETRIEVAL, SparseVector, l2_distance
 from cmt.learners import SCORER_LEARNED, RouterModel, ScorerModel
-from cmt.runner import MultilabelTask, RunConfig, fit
+from cmt.runner import RunConfig, fit, make_task
 from cmt.snapshot import snapshot_save
 from cmt.tasks import (
     MulticlassExample,
@@ -14,7 +14,6 @@ from cmt.tasks import (
     entropy_reduction,
     f1_reward,
     hamming_loss,
-    mc_evaluate,
     mc_progressive_run,
     mc_step,
     nn_linear_scan,
@@ -105,18 +104,6 @@ def test_mc_progressive_run_deterministic_under_seed():
     (acc_a, trace_a), (acc_b, trace_b) = run(), run()
     assert acc_a == acc_b
     assert trace_a == trace_b
-
-
-def test_mc_evaluate_is_read_only():
-    train, test = multiclass_clusters(classes=5, shots=2, test_per_class=1, seed=6)
-    t = euclidean_tree(seed=6)
-    for ex in train:
-        t.insert(Memory(ex.x, ex.label))
-    stored = len(t)
-    accuracy, n = mc_evaluate(t, test)
-    assert n == len(test)
-    assert len(t) == stored
-    assert 0.0 <= accuracy <= 1.0
 
 
 # -- metrics ----------------------------------------------------------------------
@@ -250,9 +237,32 @@ def test_oas_test_read_matches_the_ranked_capacity_query(seed, sparse):
         assert oas_step(t, oas, ex, train=False) == ranked_oas_read(t, oas, ex.x)
 
 
-def test_multilabel_eval_pass_is_read_only(tmp_path):
-    train, test = multilabel_topics(examples=200, labels=24, test_examples=60, seed=2)
-    task = MultilabelTask(RunConfig(mode=MODE_MULTILABEL, d=1, seed=2))
+READ_PASS_DATA = {
+    MODE_MULTICLASS: lambda: multiclass_clusters(classes=20, shots=3, test_per_class=3, seed=2),
+    MODE_MULTILABEL: lambda: multilabel_topics(examples=200, labels=24, test_examples=60, seed=2),
+    MODE_RETRIEVAL: lambda: retrieval_corpus(pairs=150, test_pairs=60, seed=2),
+}
+
+
+def eval_pass(task, tree, test):
+    for ex in test:
+        task.eval_step(tree, ex)
+
+
+def self_consistency_pass(task, tree, test):
+    tree.measure_self_consistency(tree.memories())
+
+
+@pytest.mark.parametrize(
+    "mode, read",
+    [(MODE_MULTICLASS, eval_pass), (MODE_MULTILABEL, eval_pass), (MODE_RETRIEVAL, eval_pass),
+     (MODE_MULTICLASS, self_consistency_pass)],
+    ids=["multiclass", "multilabel", "retrieval", "self_consistency"],
+)
+def test_read_pass_is_read_only(tmp_path, mode, read):
+    # the learned scorer clamps at 0 and 1, so these reads meet exact ties
+    train, test = READ_PASS_DATA[mode]()
+    task = make_task(RunConfig(mode=mode, d=1, seed=2))
     tree, _ = fit(task.config, task, train)
     assert tree.f.mode == SCORER_LEARNED
 
@@ -261,8 +271,7 @@ def test_multilabel_eval_pass_is_read_only(tmp_path):
         return (tmp_path / name).read_bytes()
 
     state, before = tree.rng.getstate(), saved("before.snap")
-    for ex in test:
-        task.eval_step(tree, ex)
+    read(task, tree, test)
     assert tree.rng.getstate() == state
     assert saved("after.snap") == before
 

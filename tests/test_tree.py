@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cmt.features import SparseVector, fingerprint
-from cmt.learners import RouterModel, ScorerModel
+from cmt.learners import PAIR_BIAS, RouterModel, ScorerModel
 from cmt.snapshot import snapshot_save
 from cmt.tree import (
     LEFT,
@@ -167,10 +167,40 @@ def test_query_epsilon_one_depth_one_enumerated():
     assert result.memories == (zr,)
 
 
+def test_query_for_the_whole_leaf(monkeypatch):
+    left = [Memory(sv({1: -v}), f"l{v}") for v in (3.0, 1.0, 2.0)]
+    right = [Memory(sv({1: v}), f"r{v}") for v in (3.0, 1.0, 2.0)]
+    root = internal({1: 1.0}, leaf_of(*left), leaf_of(*right))
+    t = wire(euclidean_tree(), root)
+    x = sv({1: 1.0})  # routes right deterministically
+
+    # an exploit read takes the leaf in stored order: no draw, no scoring
+    t.rng = ScriptedRng([0.5])
+    with monkeypatch.context() as m:
+        m.setattr(ScorerModel, "predict", None)
+        assert t.query(x, None, 0.0) == (None, tuple(right))
+        assert t.query(x, None, 0.4) == (None, tuple(right))
+    assert t.rng.values == []
+
+    # a flip to the left leaf puts its best-scored memory first
+    t.rng = ScriptedRng([0.0, 0.49, 0.5])
+    result = t.query(x, None, 1.0)
+    assert result.key == Deviation(root, LEFT, 0.5)
+    assert result.memories == (left[1], left[0], left[2])
+
+    # a leaf sample puts the memory it drew first
+    t.rng = ScriptedRng([0.0, 0.5, 0.7])
+    result = t.query(x, None, 1.0)
+    assert result.key == LeafExplore(root.right)
+    assert result.memories == (right[2], right[0], right[1])
+
+
 def test_query_validates_arguments():
     t = euclidean_tree()
     with pytest.raises(ValueError):
         t.query(sv({1: 1.0}), 0, 0.0)
+    with pytest.raises(ValueError):
+        t.query(sv({1: 1.0}), None, -0.1)
     with pytest.raises(ValueError):
         t.query(sv({1: 1.0}), 1, 1.5)
 
@@ -202,14 +232,46 @@ def test_top_k_larger_k_returns_whole_leaf_sorted():
     assert distances == sorted(distances)
 
 
+def tie_shares(memories, queries) -> dict:
+    """Share of reads each memory wins in one leaf of equidistant memories."""
+    leaf = leaf_of(*memories)
+    t = wire(euclidean_tree(seed=3), leaf)
+    firsts = [t.top_k(leaf, x, 1)[0].value for x in queries]
+    assert [t.top_k(leaf, x, len(memories))[0].value for x in queries] == firsts
+    return {z.value: firsts.count(z.value) / len(firsts) for z in memories}
+
+
 def test_top_k_breaks_ties_uniformly():
-    x = sv({1: 1.0})
-    a, b = Memory(sv({2: 1.0}), "a"), Memory(sv({3: 1.0}), "b")  # equidistant
+    # a and b are equidistant from every query, none of which is stored
+    a, b = Memory(sv({2: 1.0}), "a"), Memory(sv({3: 1.0}), "b")
+    queries = [sv({1: 1.0 + i / 1000}) for i in range(2000)]
+    assert 0.45 <= tie_shares([a, b], queries)["a"] <= 0.55
     leaf = leaf_of(a, b)
     t = wire(euclidean_tree(seed=3), leaf)
-    firsts = [t.top_k(leaf, x, 1)[0].value for _ in range(2000)]
-    share = firsts.count("a") / len(firsts)
-    assert 0.45 <= share <= 0.55
+    state = t.rng.getstate()
+    first = t.top_k(leaf, queries[0], 1)
+    assert t.top_k(leaf, queries[0], 1) == first
+    assert t.query(queries[0], 1, 0.0).memories == tuple(first)
+    assert t.rng.getstate() == state
+
+
+def test_top_k_breaks_three_way_ties_uniformly():
+    memories = [Memory(sv({j: 1.0}), j) for j in (2, 3, 4)]
+    queries = [sv({1: 1.0 + i / 1000}) for i in range(2000)]
+    for share in tie_shares(memories, queries).values():
+        assert 0.28 <= share <= 0.39
+
+
+def test_clamped_ties_do_not_favour_the_key_read():
+    # a large bias weight clamps every learned score to 1: all 200 memories
+    # tie, and a stored key read back should win its tie no more than others
+    memories = random_memories(200, seed=4)
+    leaf = leaf_of(*memories)
+    t = wire(Tree(d=0, seed=5), leaf)
+    t.f.weights[PAIR_BIAS] = 10.0
+    assert {t.f.predict(memories[0].x, z.x) for z in memories} == {1.0}
+    self_wins = sum(t.query(z.x, 1, 0.0).memories[0] is z for z in memories)
+    assert self_wins < 20
 
 
 @pytest.mark.parametrize("mode", ["learned", "euclidean"])
