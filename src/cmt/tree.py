@@ -194,20 +194,14 @@ class Tree:
         self._adopt(Leaf())
 
     def _adopt(self, root: Node) -> None:
-        """Make `root` the root; rebuild the key map, sampling list and size index.
+        """Make `root` the root; rebuild the key map and size index from its leaves.
 
-        Leaves register left to right, each leaf's memories in stored order.
-        Reroute samples by position in the sampling list, so after a load it
-        depends only on the snapshot bytes. A duplicate key keeps its first
-        position and maps to its last leaf; `check_invariants` reports it.
+        A duplicate key maps to one of its leaves; `check_invariants` reports it.
         """
         root.parent = None
         self.root: Node = root
-        leaves = list(self.leaves())[::-1]  # the walk meets leaves right to left
+        leaves = list(self.leaves())
         self.M: dict[int, Leaf] = {z.key_fingerprint: leaf for leaf in leaves for z in leaf.mem}
-        # flat fingerprint index for O(1) uniform sampling in reroute
-        self._fps: list[int] = list(self.M)
-        self._fp_pos: dict[int, int] = {fp: i for i, fp in enumerate(self._fps)}
         # memory count -> the non-empty leaves holding exactly that many
         self._leaves_by_size: defaultdict[int, set[Leaf]] = defaultdict(set)
         for leaf in leaves:
@@ -227,11 +221,7 @@ class Tree:
         return max(math.ceil(self.c), math.ceil(self.c * math.log(n)))
 
     def walk(self) -> Iterator[tuple[Node, int]]:
-        """Every node with its depth, in preorder with the right subtree first.
-
-        The order is output: `memories()` follows it, and the ablation's
-        self-consistency sample is taken in that order.
-        """
+        """Every node with its depth, in preorder with the right subtree first."""
         stack: list[tuple[Node, int]] = [(self.root, 0)]
         while stack:
             node, depth = stack.pop()
@@ -408,10 +398,7 @@ class Tree:
         """Append z, whose key is not stored, to a leaf; split it if over capacity."""
         leaf.mem.append(z)
         self._resize(leaf, len(leaf.mem) - 1)
-        fp = z.key_fingerprint
-        self.M[fp] = leaf
-        self._fp_pos[fp] = len(self._fps)
-        self._fps.append(fp)
+        self.M[z.key_fingerprint] = leaf
         if len(leaf.mem) > self.capacity():
             self._split(leaf, protected=z)
 
@@ -494,12 +481,6 @@ class Tree:
         if leaf is None:
             raise UnknownKeyError(f"key {fp:#x} is not stored")
         del self.M[fp]
-        pos = self._fp_pos.pop(fp)
-        last = self._fps.pop()
-        if last != fp:
-            self._fps[pos] = last
-            self._fp_pos[last] = pos
-
         for idx, m in enumerate(leaf.mem):
             if m.key_fingerprint == fp:
                 z = leaf.mem.pop(idx)
@@ -532,11 +513,24 @@ class Tree:
     # -- reroute -----------------------------------------------------------
 
     def reroute(self) -> None:
-        """Extract one uniformly sampled memory and re-insert it from the root."""
-        if not self._fps:
+        """Extract one uniformly sampled memory and re-insert it from the root.
+
+        Draw i picks the i-th memory in left-to-right leaf order, found by
+        descending the subtree counts, so the pick depends only on the tree's
+        structure and generator: O(depth) and no index of its own.
+        """
+        if not self.M:
             return
-        fp = self._fps[int(self.rng.random() * len(self._fps))]
-        z = self._remove_fp(fp)
+        i = int(self.rng.random() * len(self.M))
+        v = self.root
+        while not v.is_leaf:
+            left = node_count(v.left)
+            if i < left:
+                v = v.left
+            else:
+                i -= left
+                v = v.right
+        z = self._remove_fp(v.mem[i].key_fingerprint)
         self._insert_from(self.root, z)
 
     # -- diagnostics -------------------------------------------------------
@@ -588,8 +582,6 @@ class Tree:
         for fp in self.M:
             if fp not in seen:
                 problems.append(f"map entry {fp:#x} is unreachable from the root")
-        if len(self._fps) != len(self.M) or self.M.keys() != set(self._fps):
-            problems.append("sampling index out of sync with the key map")
         indexed = sum(map(len, by_size.values()))
         if indexed != filled:  # each filled leaf was found in its bucket: a surplus is stale
             problems.append(f"size index holds {indexed} leaves, the tree {filled} filled ones")

@@ -25,21 +25,21 @@ RUNS = {
 }
 
 GOLDEN = {
-    "euclidean.snap": "7238da5f06014028981e418c6e458f5f",
-    "euclidean.reads": "81f992f34a880d62a3ea40780c9cb2db",
-    "learned.snap": "d4bb45a8a1476adcb744156a3ed2c20d",
-    "learned.reads": "4c8801ca534d0676c0e9688d63ec8161",
-    "multiclass.snap": "96a9df959c3950ebca869c9198aa2bf1",
-    "multiclass.train.tsv": "31d22114e31e78d87a827113216295b4",
-    "multiclass.test.tsv": "0b1ca9f80d8ad357ba4e91954b058a14",
-    "multilabel.snap": "f93b21a91b5e55cfb7d0c015813bb4db",
-    "multilabel.train.tsv": "18f4e53a7afb965bf0ea3f084fd716c7",
-    "multilabel.test.tsv": "8cae580c745d2738cf5b9a647cd2eaef",
-    "retrieval.snap": "b5e927c1598aa74417c0df7aeb240998",
-    "retrieval.train.tsv": "4e90a528f221ef8ccac5c49fbb77dfbc",
-    "retrieval.test.tsv": "cc18da82c58b8421ecdab41593e67ac9",
-    "multiclass.rerouted.snap": "ee020fd694a8708f88c7eb660919f119",
-    "ablate_d.tsv": "5ecbc792ff4148039cbac1ef1bc950e0",
+    "euclidean.snap": "3a25b9362874e768676d145c80d88d43",
+    "euclidean.reads": "96e62d2c22a3ad3a9d19fcafbe2a4918",
+    "learned.snap": "fa5f4d7f6aaf1178817c858626e62131",
+    "learned.reads": "64f7c40032abc0526bd28960fa81df19",
+    "multiclass.snap": "4f6871cbefeafb49045d5b3e2d8ba4df",
+    "multiclass.train.tsv": "d6f6961a4cc8fd2823baf8fd0c7934a7",
+    "multiclass.test.tsv": "070aa0a850712b763a25ee58e7820d8b",
+    "multilabel.snap": "8c4bca7b2a5b753419285dafbc1cd5ed",
+    "multilabel.train.tsv": "e755d513551c7aced5f165a3a6beaa38",
+    "multilabel.test.tsv": "85f12bed661c22ddbc181121372ecc88",
+    "retrieval.snap": "a3d93e0949a266b8274561c908591bd3",
+    "retrieval.train.tsv": "cd271f1e37e351158b547693a4836ff2",
+    "retrieval.test.tsv": "edf09551c93775f008e3311540fced00",
+    "multiclass.rerouted.snap": "9dce02a13650cedfee22f0e3ba99031c",
+    "ablate_d.tsv": "347b9a26f44b5193537b4c16002319a7",
 }
 
 
@@ -100,8 +100,8 @@ def learned_sparse() -> dict[str, bytes]:
 def rerouted_reload(path: str) -> dict[str, bytes]:
     """A loaded snapshot saved again after 100 reroutes.
 
-    Reroute samples from the order in which loading registered the keys, so
-    this pins that order as well as the codec.
+    Reroute picks its memory by descending the loaded subtree counts, so this
+    pins that pick as well as the codec.
     """
     tree, config, label_scorers = snapshot_load_full(path)
     for _ in range(100):
@@ -111,11 +111,7 @@ def rerouted_reload(path: str) -> dict[str, bytes]:
 
 
 def ablate_d_table() -> dict[str, bytes]:
-    """The reroute sweep's table without its timing column.
-
-    Self-consistency is measured over the memories in tree-walk order, so
-    this pins that order as well as the table format.
-    """
+    """The reroute sweep's table without its timing column."""
     cmd_ablate(RunConfig(data=RUNS["multiclass"][0], seed=1, metrics="ablate.tsv"), "d", [0, 1, 5])
     rows = [line.split("\t") for line in Path("ablate.tsv").read_text().splitlines()]
     timing = rows[0].index("inference_ms")

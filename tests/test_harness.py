@@ -151,6 +151,27 @@ def test_snapshot_round_trip_is_byte_stable(tmp_path):
     assert "base_rate" not in read_header(a.read_bytes())
 
 
+@pytest.mark.parametrize("mode", ["euclidean", "learned"])
+def test_loaded_snapshot_carries_on_as_the_saved_tree(tmp_path, mode):
+    t = build_tree(60, seed=4, scorer=ScorerModel(mode=mode))
+    snapshot_save(t, str(tmp_path / "saved.snap"))
+    loaded = snapshot_load_full(str(tmp_path / "saved.snap"))[0]
+    stored, fresh = random_keys(60, seed=4), random_keys(100, seed=5)
+    snaps = []
+    for side, tree in enumerate((t, loaded)):
+        for i, x in enumerate(fresh[:50]):
+            tree.insert(Memory(x, 100 + i))
+        for x in stored[::3] + fresh[:50:4]:
+            tree.remove(x)
+        for i, x in enumerate(fresh[50:]):
+            result = tree.query(x, 2, 0.5)
+            for z in result.memories:
+                tree.update(x, z, 1.0 if z.value % 2 == i % 2 else 0.0, result.key)
+        snapshot_save(tree, str(tmp_path / f"{side}.snap"))
+        snaps.append((tmp_path / f"{side}.snap").read_bytes())
+    assert snaps[0] == snaps[1]
+
+
 def test_snapshot_header_stores_each_setting_once(tmp_path):
     snap = tmp_path / "m.snap"
     cmd_train(RunConfig(data="synth:multiclass?classes=4&shots=2", snapshot=str(snap),

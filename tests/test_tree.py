@@ -648,6 +648,34 @@ def test_reroute_preserves_single_memory():
     assert t.query(z.x, 1, 0.0).memories[0] is z
 
 
+def left_to_right(node) -> list[Memory]:
+    if node.is_leaf:
+        return list(node.mem)
+    return left_to_right(node.left) + left_to_right(node.right)
+
+
+@pytest.mark.parametrize("c", [2.0, 40.0], ids=["internal-root", "root-leaf"])
+def test_reroute_draw_i_picks_the_ith_memory_left_to_right(monkeypatch, c):
+    t = euclidean_tree(c=c, seed=27)
+    memories = random_memories(30, seed=27)
+    for z in memories:
+        t.insert(z)
+    for z in memories[1::4]:
+        t.remove(z.x)
+    assert t.root.is_leaf == (c == 40.0)
+    picked = []
+    remove_fp = t._remove_fp
+    monkeypatch.setattr(t, "_remove_fp", lambda fp: picked.append(fp) or remove_fp(fp))
+    n = len(t)
+    for i in [*range(n), 0, n - 1]:
+        order = [z.key_fingerprint for z in left_to_right(t.root)]
+        monkeypatch.setattr(t.rng, "random", lambda: (i + 0.5) / n)
+        t.reroute()
+        assert picked == [order[i]]
+        picked.clear()
+    assert t.check_invariants() == []
+
+
 def test_many_reroutes_keep_invariants():
     t = euclidean_tree(c=2.0, seed=22)
     for z in random_memories(100, seed=22):
