@@ -329,6 +329,8 @@ def parse_line(text: str, mode: str, bits: int = DEFAULT_BITS, lineno: int = 0) 
         left_block = _hash_pairs(left_pairs, bits, lineno)
 
     right_block = _hash_pairs(right_pairs, bits, lineno)
+    if mode == MODE_RETRIEVAL and not right_block:
+        raise ParseError("retrieval value vector must be nonzero", lineno)
     return LabeledLine(mode, left_tokens, right_tokens, right_block, left_block)
 
 

@@ -2,13 +2,13 @@
 
 Layout: an 8-byte magic, a u32 format version, a length-prefixed UTF-8
 JSON header (tree parameters, generator state, and the mode and hash width
-a test run reads back), the shared scorer record, then the node tree in
-preorder, then the label scorers and an end marker. Linear models are
-stored as their two counters and sorted (index, weight, grad_sq) triples so
-a snapshot is a canonical byte encoding of its tree. A save writes a
-temporary file beside the target and moves it over the target only once it
-is complete. Loading a truncated, foreign or other-version file raises
-SnapshotError before any tree is returned.
+a test run reads back), the shared scorer record, one record per node in
+`Tree.walk` order at any depth, then the label scorers and an end marker.
+Linear models are stored as their two counters and sorted (index, weight,
+grad_sq) triples so a snapshot is a canonical byte encoding of its tree. A
+save writes a temporary file beside the target and moves it over the target
+only once it is complete. Loading a truncated, foreign or other-version
+file raises SnapshotError before any tree is returned.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import contextlib
 import json
 import os
 import struct
-from typing import BinaryIO, Optional
+from typing import Optional
 
 from .features import MODES, SparseVector, check_bits
 from .learners import LinearModel, RouterModel, ScorerModel
@@ -127,32 +127,28 @@ def _read_memory(cur: _Cursor) -> Memory:
     return Memory(x, value)
 
 
-def _write_node(fh: BinaryIO, node: Node) -> None:
-    if node.is_leaf:
-        fh.write(struct.pack("<BI", _NODE_LEAF, len(node.mem)))
-        for z in node.mem:
-            fh.write(_pack_memory(z))
-    else:
-        fh.write(struct.pack("<BQ", _NODE_INTERNAL, node.n) + _pack_model(node.g))
-        _write_node(fh, node.left)
-        _write_node(fh, node.right)
-
-
-def _read_node(cur: _Cursor, parent: Optional[Internal]) -> Node:
-    (tag,) = cur.unpack("<B")
-    if tag == _NODE_LEAF:
-        leaf = Leaf(parent)
-        (n,) = cur.unpack("<I")
-        leaf.mem = [_read_memory(cur) for _ in range(n)]
-        return leaf
-    if tag != _NODE_INTERNAL:
-        raise SnapshotError(f"unknown node tag {tag}")
-    node = Internal(parent, RouterModel())
-    (node.n,) = cur.unpack("<Q")
-    _read_model(cur, node.g)
-    node.left = _read_node(cur, node)
-    node.right = _read_node(cur, node)
-    return node
+def _read_tree(cur: _Cursor) -> Node:
+    """Rebuild the node records that `snapshot_save` wrote in `Tree.walk` order."""
+    top = Internal(None, None)  # holds the root as its left child; `_adopt` unlinks it
+    pending = [top]  # the parent of each record still to read
+    while pending:
+        parent = pending.pop()
+        (tag,) = cur.unpack("<B")
+        if tag == _NODE_LEAF:
+            node = Leaf(parent)
+            node.mem = [_read_memory(cur) for _ in range(cur.unpack("<I")[0])]
+        elif tag == _NODE_INTERNAL:
+            node = Internal(parent, RouterModel())
+            (node.n,) = cur.unpack("<Q")
+            _read_model(cur, node.g)
+            pending += (node, node)
+        else:
+            raise SnapshotError(f"unknown node tag {tag}")
+        if parent.left is None:
+            parent.left = node
+        else:
+            parent.right = node
+    return top.left
 
 
 def snapshot_save(
@@ -190,7 +186,12 @@ def snapshot_save(
         with fh:
             fh.write(MAGIC + struct.pack("<II", VERSION, len(blob)) + blob)
             fh.write(_pack_model(tree.f))
-            _write_node(fh, tree.root)
+            for node, _ in tree.walk():
+                if node.is_leaf:
+                    fh.write(struct.pack("<BI", _NODE_LEAF, len(node.mem)))
+                    fh.writelines(map(_pack_memory, node.mem))
+                else:
+                    fh.write(struct.pack("<BQ", _NODE_INTERNAL, node.n) + _pack_model(node.g))
             scorers = sorted((label_scorers or {}).items())
             fh.write(struct.pack("<I", len(scorers)))
             for label, model in scorers:
@@ -240,10 +241,7 @@ def snapshot_load_full(path: str) -> tuple[Tree, dict, dict[int, RouterModel]]:
         raise SnapshotError(f"bad header: {exc!r}") from exc
 
     _read_model(cur, tree.f)
-    try:
-        tree._adopt(_read_node(cur, None))
-    except RecursionError:
-        raise SnapshotError("node records nest too deeply") from None
+    tree._adopt(_read_tree(cur))
     label_scorers: dict[int, RouterModel] = {}
     (count,) = cur.unpack("<I")
     for _ in range(count):

@@ -183,6 +183,8 @@ class Tree:
             raise ValueError("alpha must lie in (0, 1]")
         if not (c > 0.0 and math.isfinite(c)):
             raise ValueError("c must be finite and positive")
+        if type(d) is not int or type(seed) is not int:
+            raise TypeError("d and seed must be integers")
         if d < 0:
             raise ValueError("d must be >= 0")
         self.alpha = alpha
@@ -221,14 +223,15 @@ class Tree:
         return max(math.ceil(self.c), math.ceil(self.c * math.log(n)))
 
     def walk(self) -> Iterator[tuple[Node, int]]:
-        """Every node with its depth, in preorder with the right subtree first."""
+        """Every node with its depth, in preorder with the left subtree first:
+        the order of `memories()`, of reroute's draws and of snapshot nodes."""
         stack: list[tuple[Node, int]] = [(self.root, 0)]
         while stack:
             node, depth = stack.pop()
             yield node, depth
             if not node.is_leaf:
-                stack.append((node.left, depth + 1))
                 stack.append((node.right, depth + 1))
+                stack.append((node.left, depth + 1))
 
     def leaves(self) -> Iterator[Leaf]:
         return (node for node, _ in self.walk() if node.is_leaf)
@@ -515,9 +518,9 @@ class Tree:
     def reroute(self) -> None:
         """Extract one uniformly sampled memory and re-insert it from the root.
 
-        Draw i picks the i-th memory in left-to-right leaf order, found by
-        descending the subtree counts, so the pick depends only on the tree's
-        structure and generator: O(depth) and no index of its own.
+        Draw i picks the i-th memory of `memories()`, found by descending the
+        subtree counts, so the pick depends only on the tree's structure and
+        generator: O(depth) and no index of its own.
         """
         if not self.M:
             return
@@ -538,48 +541,45 @@ class Tree:
     def check_invariants(self) -> list[str]:
         """Structural audit; returns human-readable violations (empty = healthy)."""
         problems: list[str] = []
-        cap = self.capacity()
-        seen: dict[int, Leaf] = {}
-        by_size = self._leaves_by_size
-        filled = 0
-
-        def walk(node: Node) -> int:
-            nonlocal filled
-            if node.is_leaf:
-                size = len(node.mem)
-                if size:
-                    filled += 1
-                    if node not in by_size.get(size, ()):
-                        problems.append(f"leaf of {size} memories missing from the size index")
-                elif node is not self.root:
-                    problems.append("empty leaf below the root")  # _remove_fp splices these
-                if size > cap:
-                    problems.append(f"leaf holds {size} memories, capacity {cap}")
-                for m in node.mem:
-                    fp = m.key_fingerprint
-                    if fp in seen:
-                        problems.append(f"fingerprint {fp:#x} stored twice")
-                    seen[fp] = node
-                    if self.M.get(fp) is not node:
-                        problems.append(f"map entry for {fp:#x} does not point at its leaf")
-                return size
-            for child in (node.left, node.right):
-                if child is None:
-                    problems.append("internal node with a missing child")
-                    return node.n
-                if child.parent is not node:
-                    problems.append("child's parent link does not point back")
-            total = walk(node.left) + walk(node.right)
-            if node.n != total:
-                problems.append(f"subtree count {node.n} != stored {total}")
-            return total
-
+        cap, M, by_size = self.capacity(), self.M, self._leaves_by_size
+        seen: set[int] = set()
+        stored = filled = 0
         if self.root.parent is not None:
             problems.append("root has a parent")
-        total = walk(self.root)
-        if total != len(self.M):
-            problems.append(f"map size {len(self.M)} != stored memories {total}")
-        for fp in self.M:
+        for node, _ in self.walk():
+            if not node.is_leaf:
+                left, right = node.left, node.right
+                if left is None or right is None:  # the walk cannot go on
+                    problems.append("internal node with a missing child")
+                    return problems
+                for child in (left, right):
+                    if child.parent is not node:
+                        problems.append("child's parent link does not point back")
+                total = (len(left.mem) if left.is_leaf else left.n) + (
+                    len(right.mem) if right.is_leaf else right.n)
+                if node.n != total:
+                    problems.append(f"subtree count {node.n} != stored {total}")
+                continue
+            size = len(node.mem)
+            stored += size
+            if size:
+                filled += 1
+                if node not in by_size.get(size, ()):
+                    problems.append(f"leaf of {size} memories missing from the size index")
+            elif node is not self.root:
+                problems.append("empty leaf below the root")  # _remove_fp splices these
+            if size > cap:
+                problems.append(f"leaf holds {size} memories, capacity {cap}")
+            for m in node.mem:
+                fp = m.key_fingerprint
+                if fp in seen:
+                    problems.append(f"fingerprint {fp:#x} stored twice")
+                seen.add(fp)
+                if M.get(fp) is not node:
+                    problems.append(f"map entry for {fp:#x} does not point at its leaf")
+        if stored != len(M):
+            problems.append(f"map size {len(M)} != stored memories {stored}")
+        for fp in M:
             if fp not in seen:
                 problems.append(f"map entry {fp:#x} is unreachable from the root")
         indexed = sum(map(len, by_size.values()))

@@ -244,6 +244,38 @@ SYNTH_URIS = {
 }
 
 
+@pytest.fixture(scope="module")
+def multilabel_snapshot(tmp_path_factory) -> bytes:
+    snap = tmp_path_factory.mktemp("multilabel") / "m.snap"
+    cmd_train(RunConfig(data=SYNTH_URIS["multilabel"], mode="multilabel", seed=5,
+                        snapshot=str(snap)))
+    assert snapshot_load_full(str(snap))[2]  # it carries label scorers
+    return snap.read_bytes()
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupt_snapshot_raises_snapshot_error_or_loads_healthy(tmp_path, multilabel_snapshot,
+                                                                 data):
+    raw = multilabel_snapshot
+    if data.draw(st.booleans(), label="truncate"):
+        blob = raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")]
+    else:
+        flips = data.draw(st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=3),
+                          label="bits")
+        blob = bytearray(raw)
+        for bit in flips:
+            blob[bit // 8] ^= 1 << (bit % 8)
+    snap = tmp_path / "corrupt.snap"
+    snap.write_bytes(blob)
+    try:
+        tree = snapshot_load_full(str(snap))[0]
+    except SnapshotError:
+        return
+    assert tree.check_invariants() == []
+
+
 @pytest.mark.parametrize("source", ["file", *SYNTH_URIS])
 def test_train_determinism_byte_identical_metrics(tmp_path, source):
     if source == "file":
@@ -456,8 +488,8 @@ def test_cli_data_error_exit_code(tmp_path):
 
 
 # grammar fragments, so that some files parse and train as well
-DATA_TOKENS = [b"1 | a:0.5\n", b"2,3 | a\n", b"a | b:1\n", b"1", b"2,3", b" ", b"|", b":",
-               b"a", b"0.5", b"-", b"e9", b"nan", b"\n", b"\xff"]
+DATA_TOKENS = [b"1 | a:0.5\n", b"2,3 | a\n", b"a | b:1\n", b"q:0 | v:0\n", b"1", b"2,3", b" ",
+               b"|", b":", b"a", b"0.5", b"-", b"e9", b"nan", b"\n", b"\xff"]
 
 
 @settings(max_examples=40, deadline=None,
@@ -484,6 +516,21 @@ def test_cli_parse_error_reports_line_number(tmp_path, capsys):
     bad.write_text("0 | f1:1\nbroken\n", encoding="utf-8")
     assert main(["train", "--data", str(bad)]) == 3
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "test"])
+@pytest.mark.parametrize("value", ["v:0", "v:1 v:-1"], ids=["zero", "cancelling"])
+def test_cli_zero_retrieval_value_is_a_data_error(tmp_path, capsys, command, value):
+    good = tmp_path / "good.vw"
+    good.write_text("q:1 | v:1\nq:2 | w:1\n", encoding="utf-8")
+    snap = str(tmp_path / "r.snap")
+    assert main(["train", "--mode", "retrieval", "--data", str(good), "--snapshot", snap]) == 0
+    bad = tmp_path / "bad.vw"
+    bad.write_text(f"q:1 | v:1\nq:2 | w:1\nq:3 | {value}\n", encoding="utf-8")
+    snap_arg = ["--snapshot", snap] if command == "test" else []
+    capsys.readouterr()
+    assert main([command, "--mode", "retrieval", "--data", str(bad), *snap_arg]) == 3
+    assert "line 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode,label", [
@@ -543,6 +590,8 @@ def test_cli_snapshot_error_exit_code(tmp_path):
         "alpha_5": with_header(raw, {**header, "alpha": 5.0}),
         "rng_int": with_header(raw, {**header, "rng_state": 3}),
         "c_inf": with_header(raw, {**header, "c": float("inf")}),
+        "seed_str": with_header(raw, {**header, "seed": "x"}),
+        "d_float": with_header(raw, {**header, "d": 2.5}),
         "nested": nested(2000),
         "empty_leaves": nested(50),
         "version_1": MAGIC + struct.pack("<I", 1),

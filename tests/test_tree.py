@@ -1,11 +1,13 @@
 import math
 import random
+import sys
+from types import SimpleNamespace
 
 import pytest
 
 from cmt.features import SparseVector, fingerprint
 from cmt.learners import PAIR_BIAS, RouterModel, ScorerModel
-from cmt.snapshot import snapshot_save
+from cmt.snapshot import snapshot_load_full, snapshot_save
 from cmt.tree import (
     LEFT,
     RIGHT,
@@ -669,6 +671,7 @@ def test_reroute_draw_i_picks_the_ith_memory_left_to_right(monkeypatch, c):
     n = len(t)
     for i in [*range(n), 0, n - 1]:
         order = [z.key_fingerprint for z in left_to_right(t.root)]
+        assert [z.key_fingerprint for z in t.memories()] == order
         monkeypatch.setattr(t.rng, "random", lambda: (i + 0.5) / n)
         t.reroute()
         assert picked == [order[i]]
@@ -727,6 +730,76 @@ def test_check_invariants_detects_corrupt_size_index():
     t._leaves_by_size[size].add(Leaf())
     assert t.check_invariants() == [
         f"size index holds {n_filled + 1} leaves, the tree {n_filled} filled ones"]
+
+
+def test_tree_rejects_non_integer_d_and_seed():
+    for kwargs in ({"d": 2.5}, {"d": "2"}, {"seed": "x"}, {"seed": 1.0}, {"seed": None}):
+        with pytest.raises(TypeError):
+            Tree(**kwargs)
+
+
+def corruptible_tree():
+    """A healthy hand-wired tree of depth 2 (capacity 2) and its nodes."""
+    a, b, c, d, e = random_memories(5, seed=29)
+    n = SimpleNamespace(ab=leaf_of(a, b), c=leaf_of(c), de=leaf_of(d, e))
+    n.inner = internal({}, n.ab, n.c)
+    t = wire(euclidean_tree(c=1.0), internal({}, n.inner, n.de))
+    assert t.check_invariants() == []
+    return t, n
+
+
+STRAY = fingerprint(sv({99: 1.0}))
+
+# name, corruption of (tree, nodes), the problem the audit must report, where
+# {a} and {d} are the fingerprints of the first memories of leaves ab and de
+CORRUPTIONS = [
+    ("duplicate_in_leaf", lambda t, n: n.ab.mem.append(n.ab.mem[0]),
+     "fingerprint {a:#x} stored twice"),
+    ("duplicate_across_leaves", lambda t, n: n.de.mem.append(n.ab.mem[0]),
+     "fingerprint {a:#x} stored twice"),
+    ("stale_map_entry", lambda t, n: t.M.__setitem__(STRAY, n.ab),
+     f"map entry {STRAY:#x} is unreachable from the root"),
+    ("map_entry_to_wrong_leaf", lambda t, n: t.M.__setitem__(n.de.mem[0].key_fingerprint, n.ab),
+     "map entry for {d:#x} does not point at its leaf"),
+    ("wrong_non_root_count", lambda t, n: setattr(n.inner, "n", 4),
+     "subtree count 4 != stored 3"),
+    ("broken_parent_link", lambda t, n: setattr(n.c, "parent", None),
+     "child's parent link does not point back"),
+    ("root_with_parent", lambda t, n: setattr(t.root, "parent", n.inner),
+     "root has a parent"),
+    ("leaf_over_capacity", lambda t, n: setattr(t, "c", 0.5),
+     "leaf holds 2 memories, capacity 1"),
+    ("missing_child", lambda t, n: setattr(n.inner, "right", None),
+     "internal node with a missing child"),
+    ("leaf_missing_from_size_bucket", lambda t, n: t._leaves_by_size[2].remove(n.de),
+     "leaf of 2 memories missing from the size index"),
+]
+
+
+@pytest.mark.parametrize("corrupt,message", [c[1:] for c in CORRUPTIONS],
+                         ids=[c[0] for c in CORRUPTIONS])
+def test_check_invariants_reports_each_kind_of_corruption(corrupt, message):
+    t, n = corruptible_tree()
+    fps = {"a": n.ab.mem[0].key_fingerprint, "d": n.de.mem[0].key_fingerprint}
+    corrupt(t, n)
+    assert message.format(**fps) in t.check_invariants()
+
+
+def test_tree_of_any_depth_audits_saves_and_loads(tmp_path):
+    # a chain twice the recursion limit deep: each internal node keeps one
+    # memory in its right leaf and the next node on its left
+    depth = 2 * sys.getrecursionlimit()
+    memories = random_memories(depth + 1, seed=31)
+    node = leaf_of(memories[0])
+    for z in memories[1:]:
+        node = internal({}, node, leaf_of(z))
+    t = wire(euclidean_tree(), node)
+    assert t.check_invariants() == []
+    assert t.max_depth() == depth
+    first, second = tmp_path / "first.snap", tmp_path / "second.snap"
+    snapshot_save(t, str(first))
+    snapshot_save(snapshot_load_full(str(first))[0], str(second))
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_check_invariants_detects_empty_leaf_below_root():
