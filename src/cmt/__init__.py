@@ -43,8 +43,6 @@ from .tree import (
     Leaf,
     LeafExplore,
     Memory,
-    PathRecord,
-    PathStep,
     QueryResult,
     Tree,
     UnknownKeyError,
@@ -64,7 +62,7 @@ __all__ = [
     "entropy_reduction", "f1_reward", "hamming_loss",
     "mc_progressive_run", "mc_step", "nn_linear_scan", "oas_step", "retrieval_step",
     "Deviation", "DuplicateKeyError", "Internal", "Leaf", "LeafExplore", "Memory",
-    "PathRecord", "PathStep", "QueryResult", "Tree", "UnknownKeyError",
+    "QueryResult", "Tree", "UnknownKeyError",
     "balance_bound", "path", "reward_difference_estimate",
     "__version__",
 ]

@@ -282,6 +282,8 @@ def _check_run(config: RunConfig) -> None:
         raise ValueError("--passes-unsup and --passes-sup must be >= 0")
     if not 0.0 <= config.epsilon <= 1.0:  # NaN fails this too
         raise ValueError("--epsilon must lie in [0, 1]")
+    if config.update_on_exploit and config.mode != MODE_MULTICLASS:  # only mc_step reads it
+        raise ValueError("--update-on-exploit applies to multiclass mode only")
     config.build_tree()  # the tree checks alpha, c and d
 
 

@@ -1,11 +1,12 @@
 """Task harnesses that drive the tree as a classifier or retriever.
 
-The multiclass loop follows progressive validation: each example is
-predicted before it is learned from. The multilabel loop pairs the tree
-with a one-against-some inference layer that only scores labels seen in
-the returned memories. The retrieval loop stores (query, value) vector
-pairs and scores returns by cosine similarity. An exact linear-scan
-nearest-neighbor baseline serves as the reference point.
+The multiclass loop predicts each example before learning from it. That is
+progressive validation only if no insert pass stored the key first: after
+one (the runner's default), a read may return the query's own memory. The
+multilabel loop pairs the tree with a one-against-some inference layer that
+only scores labels seen in the returned memories. The retrieval loop stores
+(query, value) vector pairs and scores returns by cosine similarity. An
+exact linear-scan nearest-neighbor baseline serves as the reference point.
 """
 
 from __future__ import annotations
@@ -95,11 +96,11 @@ def mc_step(
 
 
 def mc_progressive_run(t: Tree, stream, epsilon: float, **step_kwargs):
-    """Fold mc_step over a stream, testing each example ahead of training.
+    """Fold mc_step over a stream, querying each example ahead of learning
+    from it: progressive validation only if no insert pass stored its keys.
 
-    Returns (cumulative accuracy, trace) where the trace holds one
-    (step, windowed accuracy, cumulative accuracy) row per ACCURACY_WINDOW
-    examples.
+    Returns (cumulative accuracy, trace); the trace holds one (step, windowed
+    accuracy, cumulative accuracy) row per ACCURACY_WINDOW examples.
     """
     hits = 0
     total = 0

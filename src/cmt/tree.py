@@ -11,7 +11,9 @@ placement of old memories after routers drift.
 Mutating operations (insert / remove / reroute / update) must be externally
 serialized. A read draws from the tree's generator only to explore, so
 epsilon=0 queries are read-only: exact score ties are ordered by a keyed
-hash of the query and the memory, not by random draws.
+hash of the query and the memory, not by random draws. A read records
+nothing on its way down: exploration draws uniformly among the landing
+leaf's routers, found from its parent links, and the leaf itself.
 """
 
 from __future__ import annotations
@@ -85,16 +87,6 @@ def node_count(node: Node) -> int:
     return len(node.mem) if node.is_leaf else node.n
 
 
-class PathStep(NamedTuple):
-    node: Internal
-    action: str
-
-
-class PathRecord(NamedTuple):
-    steps: tuple[PathStep, ...]
-    leaf: Leaf
-
-
 @dataclass(frozen=True)
 class Deviation:
     """Query explored by flipping the decision at `node` to `action`."""
@@ -146,17 +138,11 @@ def balance_bound(p: float, alpha: float, T: float = math.inf) -> float:
     return numer / denom
 
 
-def path(x: SparseVector, v: Node) -> PathRecord:
-    """Deterministic descent from v: right iff the router score is positive."""
-    steps: list[PathStep] = []
+def path(x: SparseVector, v: Node) -> Leaf:
+    """The leaf a descent from v reaches: right iff the router score is positive."""
     while not v.is_leaf:
-        if v.g.raw(x) > 0.0:
-            action, child = RIGHT, v.right
-        else:
-            action, child = LEFT, v.left
-        steps.append(PathStep(v, action))
-        v = child
-    return PathRecord(tuple(steps), v)
+        v = v.right if v.g.raw(x) > 0.0 else v.left
+    return v
 
 
 class Tree:
@@ -256,11 +242,13 @@ class Tree:
     def query(self, x: SparseVector, k: Optional[int] = 1, epsilon: float = 0.0) -> QueryResult:
         """Return up to k memories and, when exploration fired, an update key.
 
-        Only exploration, taken with probability epsilon, draws from `rng`.
-        k=None returns the whole leaf: in stored order and unscored on an
-        exploit read, and with its pick first on an exploration read (the
-        best-scored memory after a router flip, a random one after a leaf
-        sample).
+        Only exploration, taken with probability epsilon, draws from `rng`:
+        uniformly among the landing leaf's routers (root first, found from
+        its parent links) and the leaf itself, then a fair side for a router
+        flip or a random sample of the leaf. k=None returns the whole leaf:
+        in stored order and unscored on an exploit read, and with its pick
+        first on an exploration read (the best-scored memory after a router
+        flip, a random one after a leaf sample).
         """
         if k is not None and k < 1:
             raise ValueError("k must be >= 1 or None")
@@ -268,15 +256,15 @@ class Tree:
             raise ValueError("epsilon must lie in [0, 1]")
         if not self.M:
             return QueryResult(None, ())
-        record = path(x, self.root)
-        key, leaf, pick = None, record.leaf, self.top_k
+        leaf = path(x, self.root)
+        key, pick = None, self.top_k
         if epsilon > 0.0 and self.rng.random() < epsilon:
-            n_steps = len(record.steps)
-            i = int(self.rng.random() * (n_steps + 1))  # uniform on 0..n_steps
-            if i < n_steps:
-                node = record.steps[i].node
+            routers = self._routers_above(leaf)
+            i = int(self.rng.random() * (len(routers) + 1))  # uniform on 0..len(routers)
+            if i < len(routers):
+                node = routers[i]
                 flipped = RIGHT if self.rng.random() < 0.5 else LEFT
-                leaf = path(x, node.right if flipped == RIGHT else node.left).leaf
+                leaf = path(x, node.right if flipped == RIGHT else node.left)
                 key = Deviation(node, flipped, 0.5)
             else:
                 key, pick = LeafExplore(leaf), self.rand_k
@@ -346,11 +334,11 @@ class Tree:
         if not 0.0 <= r <= 1.0:
             raise ValueError("reward must lie in [0, 1]")
         if isinstance(key, LeafExplore):
-            if self._in_tree(key.leaf):
+            if self._routers_above(key.leaf) is not None:
                 self.f.update(x, z.x, r)
         elif isinstance(key, Deviation):
             v = key.node
-            if self._in_tree(v):
+            if self._routers_above(v) is not None:
                 r_hat = reward_difference_estimate(r, key.action, key.prob)
                 y = self._router_target(v, r_hat)
                 if y != 0.0:
@@ -360,13 +348,17 @@ class Tree:
         for _ in range(self.d):
             self.reroute()
 
-    def _in_tree(self, node: Node) -> bool:
+    def _routers_above(self, node: Node) -> Optional[list[Internal]]:
+        """The internal nodes from the root down to node's parent, read up its
+        parent links; None once a split or a splice has detached node."""
+        routers: list[Internal] = []
         while node.parent is not None:
             parent = node.parent
             if parent.left is not node and parent.right is not node:
-                return False
+                return None
+            routers.append(parent)
             node = parent
-        return node is self.root
+        return routers[::-1] if node is self.root else None
 
     # -- insert ------------------------------------------------------------
 

@@ -108,16 +108,19 @@ def test_c04_unbiased_reward_difference():
     assert not t.root.is_leaf
     rewards = {z.key_fingerprint: rng.random() for z in memories}
     probe = SparseVector.from_pairs((j, rng.uniform(-2, 2)) for j in range(5))
-    record = path(probe, t.root)
-    n_steps = len(record.steps)
+    # the routers the probe passes, root first, read up the landing leaf's parents
+    routers, node = [], path(probe, t.root)
+    while node.parent is not None:
+        node = node.parent
+        routers.insert(0, node)
+    n_steps = len(routers)
     assert n_steps >= 2
 
     worst = 0.0
-    for i, step in enumerate(record.steps):
-        node = step.node
+    for i, node in enumerate(routers):
         reached: dict[str, float] = {}
         for action, child in ((LEFT, node.left), (RIGHT, node.right)):
-            leaf = path(probe, child).leaf
+            leaf = path(probe, child)
             top = t.top_k(leaf, probe, 1)[0]
             reached[action] = rewards[top.key_fingerprint]
             # the real query must emit exactly this deviation for the draws

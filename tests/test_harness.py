@@ -654,6 +654,11 @@ def test_cli_usage_error_exit_code(tmp_path):
         assert main(["train", "--epsilon", epsilon, "--data", missing]) == 2, epsilon
         assert main(["ablate", "--param", "d", "--values", "1",
                      "--epsilon", epsilon, "--data", missing]) == 2, epsilon
+    # --update-on-exploit outside multiclass, the only mode that reads it
+    for mode in ("multilabel", "retrieval"):
+        assert main(["train", "--mode", mode, "--update-on-exploit", "--data", missing]) == 2
+        assert main(["ablate", "--mode", mode, "--update-on-exploit", "--param", "d",
+                     "--values", "1", "--data", missing]) == 2, mode
 
 
 def test_cli_test_hash_bits_must_match_the_stored_width(tmp_path, capsys):
@@ -680,6 +685,14 @@ def test_cli_test_hash_bits_must_match_the_stored_width(tmp_path, capsys):
     assert "--hash-bits 20" in err and "stored width 12" in err
     # with none stored, the given width is checked as train checks it
     assert main(["test", "--data", str(data), "--snapshot", bare, "--hash-bits", "40"]) == 2
+
+
+def test_public_surface_resolves():
+    namespace: dict = {}
+    exec("from cmt import *", namespace)
+    for name in cmt.__all__:
+        assert hasattr(cmt, name), name
+        assert namespace[name] is getattr(cmt, name), name
 
 
 def test_cli_module_entry_point(tmp_path):

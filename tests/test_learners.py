@@ -17,7 +17,7 @@ from cmt.learners import (
     pair_features,
     sigmoid,
 )
-from cmt.tree import LEFT, Internal, Leaf, PathStep, path
+from cmt.tree import Internal, Leaf, path
 
 
 def sv(mapping):
@@ -34,9 +34,7 @@ def test_fresh_router_scores_zero_and_routes_left():
     assert g.raw(X) == 0.0
     node = Internal(None, g)
     node.left, node.right = Leaf(node), Leaf(node)
-    record = path(X, node)  # a tied score of 0 goes left
-    assert record.steps == (PathStep(node, LEFT),)
-    assert record.leaf is node.left
+    assert path(X, node) is node.left  # a tied score of 0 goes left
 
 
 def test_router_one_step_matches_hand_gradient():

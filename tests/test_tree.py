@@ -68,6 +68,20 @@ class ScriptedRng:
         return self.values.pop(0)
 
 
+class CountingTree(Tree):
+    """A tree that counts its reroute passes and splices."""
+
+    rerouted = spliced = 0
+
+    def reroute(self):
+        self.rerouted += 1
+        super().reroute()
+
+    def _splice(self, leaf):
+        self.spliced += 1
+        super()._splice(leaf)
+
+
 def random_memories(n, seed=0, dim=6):
     rng = random.Random(seed)
     out = []
@@ -81,19 +95,14 @@ def random_memories(n, seed=0, dim=6):
 
 def test_path_on_root_leaf():
     t = euclidean_tree()
-    record = path(sv({1: 1.0}), t.root)
-    assert record.steps == ()
-    assert record.leaf is t.root
+    assert path(sv({1: 1.0}), t.root) is t.root
 
 
 def test_path_tie_goes_left():
     z = Memory(sv({5: 1.0}), 0)
     root = internal({}, leaf_of(z), leaf_of())
     t = wire(euclidean_tree(), root)
-    record = path(sv({1: 1.0}), t.root)
-    assert len(record.steps) == 1
-    assert record.steps[0].action == LEFT
-    assert record.leaf is root.left
+    assert path(sv({1: 1.0}), t.root) is root.left
 
 
 def test_path_descends_right_on_positive_scores():
@@ -102,9 +111,7 @@ def test_path_descends_right_on_positive_scores():
     lower = internal({1: 2.0}, leaf_of(z1), leaf_of(z2))
     root = internal({1: 1.0}, leaf_of(Memory(sv({9: 1.0}), 2)), lower)
     t = wire(euclidean_tree(), root)
-    record = path(x, t.root)
-    assert [s.action for s in record.steps] == [RIGHT, RIGHT]
-    assert record.leaf is lower.right
+    assert path(x, t.root) is lower.right
 
 
 # -- query ---------------------------------------------------------------------
@@ -126,7 +133,7 @@ def test_query_epsilon_zero_returns_top_of_deterministic_leaf():
         assert result.key is None
         assert result.memories[0].key_fingerprint == z.key_fingerprint
     for z in memories[:5]:
-        leaf = path(z.x, t.root).leaf
+        leaf = path(z.x, t.root)
         result = t.query(z.x, 2, 0.0)
         assert result.key is None
         assert set(m.key_fingerprint for m in result.memories) <= {
@@ -369,13 +376,6 @@ def test_update_rejects_bad_reward():
 
 
 def test_update_stale_key_skips_learners_but_still_reroutes():
-    class CountingTree(Tree):
-        rerouted = 0
-
-        def reroute(self):
-            self.rerouted += 1
-            super().reroute()
-
     zl, zr = random_memories(2, seed=12)
     stale_leaf = leaf_of(zl)
     stale = internal({}, stale_leaf, leaf_of(zr))  # never attached to the tree
@@ -390,14 +390,96 @@ def test_update_stale_key_skips_learners_but_still_reroutes():
     assert t.rerouted == 6
 
 
+def test_update_keys_detached_by_a_split_or_a_splice_go_stale():
+    t = CountingTree(c=1.0, d=0, scorer=ScorerModel(mode="learned"), seed=31)
+    memories = random_memories(40, seed=31)
+    x = sv({1: 1.0, 2: -1.0})
+    t.insert(memories[0])
+    split_key = t.query(x, 1, 1.0).key  # a lone leaf: every exploration samples it
+    assert split_key == LeafExplore(t.root)
+    for z in memories[1:]:  # capacity 1 at two memories: the root leaf splits
+        t.insert(z)
+    assert t.root is not split_key.leaf
+
+    # a router flip and a leaf sample at the leaf x lands in
+    leaf = path(x, t.root)
+    router, node, n = leaf.parent, leaf, 0
+    while node.parent is not None:  # n: the routers x passes
+        node, n = node.parent, n + 1
+    t.rng = ScriptedRng([0.0, (n - 0.5) / (n + 1), 0.25])  # the last router passed
+    flip = t.query(x, 1, 1.0).key
+    assert flip == Deviation(router, RIGHT, 0.5)
+    t.rng = ScriptedRng([0.0, (n + 0.5) / (n + 1), 0.0])
+    sample = t.query(x, 1, 1.0).key
+    assert sample == LeafExplore(leaf)
+    t.rng = random.Random(31)
+    for z in list(leaf.mem):  # the emptied leaf and its router are spliced out
+        t.remove(z.x)
+    assert t.spliced
+    assert t.check_invariants() == []
+
+    t.d = 3
+    for key in (split_key, flip, sample):
+        counts = (router.g.update_count, t.f.update_count)
+        rerouted = t.rerouted
+        t.update(x, memories[0], 1.0, key)
+        assert (router.g.update_count, t.f.update_count) == counts, key
+        assert t.rerouted == rerouted + 3
+    # a key still in the tree does train its learner
+    t.update(x, memories[0], 1.0, LeafExplore(path(x, t.root)))
+    assert t.f.update_count == counts[1] + 1
+
+
+def build_by_inserts(tmp_path) -> Tree:
+    t = CountingTree(c=1.0, d=1, scorer=ScorerModel(mode="euclidean"), seed=41)
+    for z in random_memories(60, seed=41):
+        t.insert(z)
+    return t
+
+
+def churn_by_removes(tmp_path) -> Tree:
+    t = CountingTree(c=1.0, d=1, scorer=ScorerModel(mode="euclidean"), seed=42)
+    memories = random_memories(90, seed=42)
+    for z in memories:
+        t.insert(z)
+    spliced = t.spliced
+    for z in random.Random(42).sample(memories, 45):
+        t.remove(z.x)
+    assert t.spliced > spliced
+    return t
+
+
+def load_from_a_snapshot(tmp_path) -> Tree:
+    snap = str(tmp_path / "churned.snap")
+    snapshot_save(churn_by_removes(tmp_path), snap)
+    return snapshot_load_full(snap)[0]
+
+
+@pytest.mark.parametrize("build", [build_by_inserts, churn_by_removes, load_from_a_snapshot])
+def test_exploration_flips_exactly_the_routers_the_read_passed(build, tmp_path):
+    t = build(tmp_path)
+    assert t.check_invariants() == []
+    depths = []
+    for probe in random_memories(10, seed=43):
+        x = probe.x
+        passed, v = [], t.root  # the reference descent: right iff w . x > 0
+        while not v.is_leaf:
+            passed.append(v)
+            score = sum(v.g.weights.get(i, 0.0) * value for i, value in zip(x.indices, x.values))
+            v = v.right if score > 0.0 else v.left
+        n = len(passed)
+        depths.append(n)
+        for i, node in enumerate(passed):  # root first
+            for action, u in ((RIGHT, 0.25), (LEFT, 0.75)):
+                t.rng = ScriptedRng([0.0, (i + 0.5) / (n + 1), u])
+                assert t.query(x, 1, 1.0).key == Deviation(node, action, 0.5)
+                assert t.rng.values == []
+        t.rng = ScriptedRng([0.0, (n + 0.5) / (n + 1), 0.0])
+        assert t.query(x, 1, 1.0).key == LeafExplore(v)
+    assert min(depths) >= 2
+
+
 def test_update_none_key_only_reroutes():
-    class CountingTree(Tree):
-        rerouted = 0
-
-        def reroute(self):
-            self.rerouted += 1
-            super().reroute()
-
     t = CountingTree(d=2, scorer=ScorerModel(mode="euclidean"))
     t.update(sv({1: 1.0}), Memory(sv({1: 1.0}), 0), 1.0, None)
     assert t.rerouted == 2
