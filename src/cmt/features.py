@@ -51,12 +51,13 @@ class SparseVector:
     arguments apart from cheap validation, and :meth:`trusted` skips even
     that.
 
-    A vector caches its `fingerprint` the first time one is asked for. The
-    cache is only sound because a vector never changes after it is built:
-    code that rebinds `indices` or `values` of a built vector breaks it.
+    A vector caches its `fingerprint` and its `norm` the first time each is
+    asked for. The caches are only sound because a vector never changes
+    after it is built: code that rebinds `indices` or `values` of a built
+    vector breaks them.
     """
 
-    __slots__ = ("indices", "values", "_fingerprint")
+    __slots__ = ("indices", "values", "_fingerprint", "_norm")
 
     def __init__(self, indices: tuple[int, ...] = (), values: tuple[float, ...] = ()):
         if len(indices) != len(values):
@@ -72,6 +73,7 @@ class SparseVector:
         self.indices = tuple(indices)
         self.values = tuple(float(v) for v in values)
         self._fingerprint = None
+        self._norm = None
 
     @classmethod
     def trusted(cls, indices: tuple[int, ...], values: tuple[float, ...]) -> "SparseVector":
@@ -80,6 +82,7 @@ class SparseVector:
         vec.indices = indices
         vec.values = values
         vec._fingerprint = None
+        vec._norm = None
         return vec
 
     @classmethod
@@ -116,14 +119,16 @@ class SparseVector:
         return zip(self.indices, self.values)
 
     def norm(self) -> float:
+        """Euclidean length, computed on the first call and cached."""
         # a plain left-to-right sum: Python 3.12's sum() compensates; the
-        # learned scorer takes ||x|| from here, and both learners._pair_map
-        # and the equal-support pass of ScorerModel.predict sum ||key||^2 in
-        # the same order
-        total = 0.0
-        for v in self.values:
-            total += v * v
-        return math.sqrt(total)
+        # learned scorer takes both ||x|| and ||key|| from here
+        n = self._norm
+        if n is None:
+            total = 0.0
+            for v in self.values:
+                total += v * v
+            n = self._norm = math.sqrt(total)
+        return n
 
     def to_bytes(self) -> bytes:
         """Canonical byte serialization: packed indices then packed values."""

@@ -4,11 +4,21 @@ Both are sparse linear models trained one example at a time with per-feature
 adaptive step sizes (accumulated squared gradients). Routers minimize
 importance-weighted logistic loss; the scorer regresses rewards in [0, 1]
 with squared loss over a pairwise feature map.
+
+A model stores a feature's weight and squared-gradient sum at one slot of
+two lists, and caches the slot list of the last index tuple it scored with
+every feature known. Every key of a synth or dense store shares one index
+tuple, so a router's score and step usually run on list subscripts alone,
+with no per-feature dict lookup. A key with its own index set, as hashed
+text has, looks each feature up once in the score and steps on the slots it
+found. Results are bit for bit those of two dicts keyed by feature index,
+which `weights` and `grad_sq` still present as views.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, MutableMapping
 from typing import Optional
 
 from .features import SparseVector, l2_distance
@@ -36,24 +46,88 @@ def sigmoid(t: float) -> float:
 
 
 class LinearModel:
-    """Sparse weights plus accumulated squared gradients."""
+    """Sparse weights plus accumulated squared gradients, kept in slots.
 
-    __slots__ = ("weights", "grad_sq", "update_count", "mistake_count")
+    `_slot` maps a feature index to its position in the two lists `_w`
+    (weights) and `_g2` (squared-gradient sums). A feature's slot is made,
+    as (0.0, 0.0), by its first step and never moves, so a cached list of
+    positions stays valid for the life of the model. `_memo` is one cached
+    (index tuple, positions) pair, held in a single attribute so a
+    concurrent reader never sees half of one. Only `raw` fills it, and only
+    when every index of x already has a slot; it is a cache, not model
+    state, and changes no output. `weights` and `grad_sq` are live
+    dict-like views of the two lists.
+    """
+
+    __slots__ = ("_slot", "_w", "_g2", "_memo", "update_count", "mistake_count")
 
     def __init__(self):
-        self.weights: dict[int, float] = {}
-        self.grad_sq: dict[int, float] = {}
+        self._slot: dict[int, int] = {}
+        self._w: list[float] = []
+        self._g2: list[float] = []
+        self._memo: tuple[tuple[int, ...], list[int]] = ((), [])
         self.update_count = 0
         self.mistake_count = 0
 
+    @property
+    def weights(self) -> "SlotView":
+        return SlotView(self, self._w)
+
+    @property
+    def grad_sq(self) -> "SlotView":
+        return SlotView(self, self._g2)
+
+    def _slots(self, indices) -> list[int]:
+        """The slot of each index; a new one holds weight 0.0 and squared-gradient sum 0.0."""
+        slot, w, g2 = self._slot, self._w, self._g2
+        get = slot.get
+        slots = []
+        for i in indices:
+            s = get(i)
+            if s is None:
+                s = slot[i] = len(w)
+                w.append(0.0)
+                g2.append(0.0)
+            slots.append(s)
+        return slots
+
+    def entries(self) -> list[tuple[int, float, float]]:
+        """(index, weight, squared-gradient sum) of every feature, by index."""
+        w, g2 = self._w, self._g2
+        return [(i, w[s], g2[s]) for i, s in sorted(self._slot.items())]
+
+    def set_entries(self, entries) -> None:
+        """Set each (index, weight, squared-gradient sum), making missing slots."""
+        entries = list(entries)
+        slots = self._slots([i for i, _, _ in entries])
+        w, g2 = self._w, self._g2
+        for s, (_, wi, gi) in zip(slots, entries):
+            w[s] = wi
+            g2[s] = gi
+
     def raw(self, x: SparseVector) -> float:
-        """Sum of w_i * x_i over the indices of x that hold a weight, in x's order."""
-        w = self.weights
+        """Sum of w_i * x_i over the indices of x that hold a weight, in x's order.
+
+        A miss on the memo looks each index up once, collecting the slots as
+        it goes, so the step that usually follows on the same x hits.
+        """
+        idx = x.indices
+        memo = self._memo
+        w = self._w
         total = 0.0
-        for i, v in zip(x.indices, x.values):
-            wi = w.get(i)
-            if wi is not None:
-                total += wi * v
+        if memo[0] is idx or memo[0] == idx:
+            for s, v in zip(memo[1], x.values):
+                total += w[s] * v
+            return total
+        get = self._slot.get
+        slots = []
+        for i, v in zip(idx, x.values):
+            s = get(i)
+            if s is not None:
+                total += w[s] * v
+            slots.append(s)
+        if None not in slots:
+            self._memo = (idx, slots)
         return total
 
     def _step(self, x: SparseVector, dloss_dscore: float) -> float:
@@ -62,18 +136,56 @@ class LinearModel:
         dloss_dscore is the derivative of the loss wrt the linear score; the
         per-feature gradient is dloss_dscore * x_i. Every index of x holds a
         weight after its own step, so summing w_i * x_i in x's order here
-        gives raw(x) bit for bit.
+        gives raw(x) bit for bit. A memo miss means x brings new features;
+        the step makes their slots and leaves the memo to the next `raw`.
         """
-        w, g2, rate = self.weights, self.grad_sq, BASE_RATE
+        idx = x.indices
+        memo = self._memo
+        slots = memo[1] if memo[0] is idx or memo[0] == idx else self._slots(idx)
+        w, g2 = self._w, self._g2
+        rate, sqrt = BASE_RATE, math.sqrt
         total = 0.0
-        for i, v in zip(x.indices, x.values):
+        for s, v in zip(slots, x.values):
             g = dloss_dscore * v
-            acc = g2.get(i, 0.0) + g * g
-            g2[i] = acc
-            wi = w.get(i, 0.0) - rate / math.sqrt(acc + 1.0) * g
-            w[i] = wi
+            acc = g2[s] + g * g
+            g2[s] = acc
+            wi = w[s] - rate / sqrt(acc + 1.0) * g
+            w[s] = wi
             total += wi * v
         return total
+
+
+class SlotView(MutableMapping):
+    """A live dict-like view of one of a LinearModel's slot lists.
+
+    Assigning to an index without a slot makes the slot, so the other list
+    reads 0.0 there. Slots never go away: deleting raises TypeError.
+    """
+
+    __slots__ = ("_model", "_values")
+
+    def __init__(self, model: LinearModel, values: list[float]):
+        self._model = model
+        self._values = values
+
+    def __getitem__(self, i: int) -> float:
+        return self._values[self._model._slot[i]]
+
+    def get(self, i: int, default=None):
+        s = self._model._slot.get(i)
+        return default if s is None else self._values[s]
+
+    def __setitem__(self, i: int, value: float) -> None:
+        self._values[self._model._slots((i,))[0]] = value
+
+    def __delitem__(self, i: int) -> None:
+        raise TypeError("a linear model's slots cannot be deleted")
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._model._slot)
+
+    def __len__(self) -> int:
+        return len(self._model._slot)
 
 
 class RouterModel(LinearModel):
@@ -116,10 +228,10 @@ def _pair_map(
     """The pieces of pair_features(x, key): (cosine, distance, positions, products).
 
     One merge pass over both vectors accumulates the dot product, the squared
-    distance, ||key||^2 and the nonzero elementwise products a*b, listed with
-    their positions in x. `x_norm` is x.norm(). Each sum runs in the order of
-    `dot`, `l2_distance` and `SparseVector.norm`, so the scalars match theirs
-    bit for bit. `ScorerModel.predict` scores a key with x's index set in its
+    distance and the nonzero elementwise products a*b, listed with their
+    positions in x. `x_norm` is x.norm(); ||key|| is key's cached norm. Each
+    sum runs in the order of `dot` and `l2_distance`, so the scalars match
+    theirs bit for bit. `ScorerModel.predict` scores a key with x's index set in its
     own zip pass, making this merge's equal-index steps in the same order;
     every other pair comes here.
     """
@@ -129,7 +241,7 @@ def _pair_map(
     bi, bv = key.indices, key.values
     i = j = 0
     na, nb = len(ai), len(bi)
-    xk = dist_sq = key_sq = 0.0
+    xk = dist_sq = 0.0
     while i < na and j < nb:
         p, q = ai[i], bi[j]
         if p == q:
@@ -138,7 +250,6 @@ def _pair_map(
             xk += prod
             d = a - b
             dist_sq += d * d
-            key_sq += b * b
             if prod != 0.0:
                 positions.append(i)
                 products.append(prod)
@@ -148,20 +259,16 @@ def _pair_map(
             dist_sq += av[i] * av[i]
             i += 1
         else:
-            s = bv[j] * bv[j]
-            dist_sq += s
-            key_sq += s
+            dist_sq += bv[j] * bv[j]
             j += 1
     while i < na:
         dist_sq += av[i] * av[i]
         i += 1
     while j < nb:
-        s = bv[j] * bv[j]
-        dist_sq += s
-        key_sq += s
+        dist_sq += bv[j] * bv[j]
         j += 1
 
-    nk = math.sqrt(key_sq)
+    nk = key.norm()
     sim = 0.0 if x_norm == 0.0 or nk == 0.0 else xk / (x_norm * nk)
     return sim, math.sqrt(dist_sq), positions, products
 
@@ -226,11 +333,11 @@ class ScorerModel(LinearModel):
         """
         if self.mode == SCORER_EUCLIDEAN:
             return None
-        w = self.weights.get
-        return (
-            x.norm(), w(PAIR_COSINE), w(PAIR_DISTANCE), w(PAIR_BIAS),
-            [w(i + PAIR_PRODUCT_OFFSET) for i in x.indices],
-        )
+        get, w = self._slot.get, self._w
+        features = (PAIR_COSINE, PAIR_DISTANCE, PAIR_BIAS,
+                    *[i + PAIR_PRODUCT_OFFSET for i in x.indices])
+        ws = [None if (s := get(i)) is None else w[s] for i in features]
+        return x.norm(), ws[0], ws[1], ws[2], ws[3:]
 
     def predict(self, x: SparseVector, key: SparseVector, q: Optional[Prepared] = None) -> float:
         """Score of returning `key` for `x`; `q` is prepare(x) when the caller has it.
@@ -252,13 +359,12 @@ class ScorerModel(LinearModel):
         av, bv = x.values, key.values
         same_support = x.indices is key.indices or x.indices == key.indices
         if same_support:
-            xk = dist_sq = key_sq = 0.0
+            xk = dist_sq = 0.0
             for a, b in zip(av, bv):
                 xk += a * b
                 d = a - b
                 dist_sq += d * d
-                key_sq += b * b
-            nk = math.sqrt(key_sq)
+            nk = key.norm()
             sim = 0.0 if x_norm == 0.0 or nk == 0.0 else xk / (x_norm * nk)
             dist = math.sqrt(dist_sq)
         else:

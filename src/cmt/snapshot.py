@@ -50,13 +50,16 @@ class _Cursor:
     `struct.unpack_from` and moves past them; an `{n}s` field is n raw
     bytes. Data that runs short raises SnapshotError before anything is
     allocated for it, so a corrupt length cannot ask for gigabytes.
+    `index_sets` maps each index tuple read so far to its first copy, so
+    the vectors of one load share one tuple per distinct index set.
     """
 
-    __slots__ = ("data", "pos")
+    __slots__ = ("data", "pos", "index_sets")
 
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
+        self.index_sets: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def unpack(self, fmt: str) -> tuple:
         try:
@@ -68,18 +71,15 @@ class _Cursor:
 
 
 def _pack_model(model: LinearModel) -> bytes:
-    items = sorted(model.weights.items())
-    grad_sq = model.grad_sq
-    head = struct.pack("<QQI", model.update_count, model.mistake_count, len(items))
-    return head + b"".join(_TRIPLE.pack(idx, w, grad_sq.get(idx, 0.0)) for idx, w in items)
+    entries = model.entries()
+    head = struct.pack("<QQI", model.update_count, model.mistake_count, len(entries))
+    return head + b"".join(_TRIPLE.pack(*e) for e in entries)
 
 
 def _read_model(cur: _Cursor, model: LinearModel) -> LinearModel:
     model.update_count, model.mistake_count, n = cur.unpack("<QQI")
     (triples,) = cur.unpack(f"<{_TRIPLE.size * n}s")
-    for idx, w, g in _TRIPLE.iter_unpack(triples):
-        model.weights[idx] = w
-        model.grad_sq[idx] = g
+    model.set_entries(_TRIPLE.iter_unpack(triples))
     return model
 
 
@@ -90,8 +90,10 @@ def _pack_vector(v: SparseVector) -> bytes:
 def _read_vector(cur: _Cursor) -> SparseVector:
     (n,) = cur.unpack("<I")
     packed = cur.unpack(f"<{n}q{n}d")  # inverse of to_bytes()
+    indices = packed[:n]
+    indices = cur.index_sets.setdefault(indices, indices)
     try:
-        return SparseVector(packed[:n], packed[n:])
+        return SparseVector(indices, packed[n:])
     except ValueError as exc:
         raise SnapshotError(f"corrupt vector record: {exc}") from exc
 

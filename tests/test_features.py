@@ -253,6 +253,19 @@ def test_fingerprint_equals_uncached_digest_on_every_call(a, b, seed):
         assert fingerprint(v) == _digest_ref(v)
 
 
+@settings(max_examples=100, deadline=None)
+@given(vector_strategy, vector_strategy)
+def test_norm_equals_the_uncached_sum_on_every_call(a, b):
+    built = [SparseVector(a.indices, a.values), SparseVector.from_pairs(zip(b.indices, b.values)),
+             pair_features(a, b), SparseVector()]
+    for v in built:
+        total = 0.0
+        for x in v.values:
+            total += x * x
+        assert v.norm() == math.sqrt(total)
+        assert v.norm() == math.sqrt(total)
+
+
 # -- line parsing --------------------------------------------------------------
 
 def test_parse_multiclass_line():

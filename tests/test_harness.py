@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import cmt
 from cmt.cli import main
-from cmt.features import MODES
+from cmt.features import MODES, SparseVector
 from cmt.learners import ScorerModel
 from cmt.runner import RunConfig, cmd_ablate, cmd_bench, cmd_test, cmd_train, load_dataset
 from cmt.snapshot import MAGIC, SnapshotError, snapshot_load_full, snapshot_save
@@ -149,6 +149,43 @@ def test_snapshot_round_trip_is_byte_stable(tmp_path):
     snapshot_save(loaded, str(b))
     assert a.read_bytes() == b.read_bytes()
     assert "base_rate" not in read_header(a.read_bytes())
+
+
+def test_a_load_shares_one_indices_tuple_per_index_set(tmp_path):
+    t = Tree(seed=6, d=1)
+    keys = random_keys(120, seed=6)
+    sparse = [SparseVector.trusted(x.indices[::2], x.values[::2]) for x in keys[:20]]
+    for i, x in enumerate(keys + sparse):
+        t.insert(Memory(x, x if i % 3 == 0 else i))  # some values are vectors too
+    a, b = tmp_path / "a.snap", tmp_path / "b.snap"
+    snapshot_save(t, str(a))
+    loaded = snapshot_load_full(str(a))[0]
+    vectors = [z.x for z in loaded.memories()]
+    vectors += [z.value for z in loaded.memories() if isinstance(z.value, SparseVector)]
+    by_set: dict = {}
+    for v in vectors:
+        by_set.setdefault(v.indices, set()).add(id(v.indices))
+    assert len(by_set) == 2  # the full support and the thinned one
+    assert all(len(ids) == 1 for ids in by_set.values())
+    snapshot_save(loaded, str(b))
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_epsilon_zero_reads_leave_the_snapshot_bytes_alone(tmp_path):
+    # a read may refresh a model's cached slot list, which is no model state
+    t = Tree(seed=9)
+    for i, x in enumerate(random_keys(150, seed=9)):
+        t.insert(Memory(x, i))
+    a, b = tmp_path / "a.snap", tmp_path / "b.snap"
+    snapshot_save(t, str(a))
+    probes = random_keys(40, seed=10)
+    probes = [SparseVector.trusted(tuple(list(x.indices)), x.values) for x in probes[:20]] + [
+        SparseVector.trusted(x.indices[1::3], x.values[1::3]) for x in probes[20:]]
+    for x in probes:
+        t.query(x, 3, 0.0)
+    assert t.root.g._memo[0] is probes[20].indices  # the reads reached the cache
+    snapshot_save(t, str(b))
+    assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize("mode", ["euclidean", "learned"])

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from cmt.learners import (
     pair_features,
     sigmoid,
 )
+from cmt.snapshot import _pack_model
 from cmt.tree import Internal, Leaf, path
 
 
@@ -369,3 +371,136 @@ def test_prepared_predict_equals_predict_and_clamped_raw(x, keys, updates):
             expected = max(0.0, min(1.0, f.raw(pair_features(query, k))))
             assert f.predict(query, k, prepared) == f.predict(query, k) == expected
     assert ScorerModel(mode="euclidean").prepare(x) is None
+
+
+# -- slot lists: bit-identical to the dict-backed AdaGrad they replaced ----------------------
+
+class DictAdaGrad:
+    """A router and scorer kept in two dicts, as LinearModel was before its slot lists."""
+
+    def __init__(self):
+        self.weights, self.grad_sq = {}, {}
+        self.update_count = self.mistake_count = 0
+
+    def raw(self, x):
+        total = 0.0
+        for i, v in zip(x.indices, x.values):
+            wi = self.weights.get(i)
+            if wi is not None:
+                total += wi * v
+        return total
+
+    def _step(self, x, dloss_dscore):
+        total = 0.0
+        for i, v in zip(x.indices, x.values):
+            g = dloss_dscore * v
+            acc = self.grad_sq.get(i, 0.0) + g * g
+            self.grad_sq[i] = acc
+            wi = self.weights.get(i, 0.0) - BASE_RATE / math.sqrt(acc + 1.0) * g
+            self.weights[i] = wi
+            total += wi * v
+        return total
+
+    def route(self, x, y, importance):
+        """RouterModel.update, whose checks the reference leaves out."""
+        score = self.raw(x)
+        self.update_count += 1
+        if importance == 0.0:
+            return score
+        score = self._step(x, -importance * y * sigmoid(-y * score))
+        if (score > 0.0) != (y > 0):
+            self.mistake_count += 1
+        return score
+
+    def score(self, x, key, r):
+        """ScorerModel.update in learned mode."""
+        phi = pair_features(x, key)
+        self.update_count += 1
+        self._step(phi, self.raw(phi) - r)
+
+    def pack(self):
+        items = sorted(self.weights.items())
+        head = struct.pack("<QQI", self.update_count, self.mistake_count, len(items))
+        return head + b"".join(struct.pack("<qdd", i, w, self.grad_sq.get(i, 0.0))
+                               for i, w in items)
+
+
+BASE_SUPPORT = (3, 7, 11, 19)
+SUPPORTS = {
+    "shared": BASE_SUPPORT,
+    "equal": tuple(list(BASE_SUPPORT)),  # equal to the shared tuple, another object
+    "subset": (7, 19),
+    "superset": (1, 3, 7, 11, 19, 40),  # the shared support and two new features
+    "disjoint": (50, 60, 70, 80),  # as long as the shared support
+}
+nonzero = (st.floats(-4.0, 4.0) | st.sampled_from(TINY)).filter(lambda v: v != 0.0)
+slot_op = st.tuples(st.sampled_from(sorted(SUPPORTS)), st.lists(nonzero, min_size=6, max_size=6),
+                    st.sampled_from(["raw", "update"]), st.sampled_from([-1, 1]),
+                    st.floats(0.0, 4.0))
+
+
+def assert_same_model(model, ref):
+    assert dict(model.weights) == ref.weights
+    assert list(model.weights) == list(ref.weights)
+    assert dict(model.grad_sq) == ref.grad_sq
+    assert (model.update_count, model.mistake_count) == (ref.update_count, ref.mistake_count)
+    assert _pack_model(model) == ref.pack()
+
+
+@settings(max_examples=300)
+@given(st.lists(slot_op, max_size=30))
+def test_router_slots_match_the_dict_reference_bit_for_bit(ops):
+    assert SUPPORTS["equal"] == BASE_SUPPORT and SUPPORTS["equal"] is not BASE_SUPPORT
+    g, ref = RouterModel(), DictAdaGrad()
+    for support, values, op, y, importance in ops:
+        idx = SUPPORTS[support]
+        x = SparseVector.trusted(idx, tuple(values[: len(idx)]))
+        if op == "raw":
+            assert g.raw(x) == ref.raw(x)
+        else:
+            assert g.update(x, y, importance) == ref.route(x, y, importance)
+        assert g.raw(x) == ref.raw(x)
+    assert_same_model(g, ref)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.one_of(small_vector, far_vector), small_vector,
+                          st.floats(0.0, 1.0)), max_size=8), small_vector)
+def test_scorer_slots_match_the_dict_reference_bit_for_bit(updates, probe):
+    f, ref = ScorerModel(), DictAdaGrad()
+    for x, key, r in updates:
+        f.update(x, key, r)
+        ref.score(x, key, r)
+        phi = pair_features(x, key)
+        assert f.raw(phi) == ref.raw(phi)
+        assert f.predict(probe, key) == max(0.0, min(1.0, ref.raw(pair_features(probe, key))))
+    assert_same_model(f, ref)
+
+
+def test_weight_views_are_live_dicts_over_the_slots():
+    g = RouterModel()
+    w, g2 = g.weights, g.grad_sq
+    assert w.get(5) is None and w.get(5, 1.5) == 1.5 and 5 not in w
+    with pytest.raises(KeyError):
+        w[5]
+    w[5] = 0.25  # makes the slot: its squared-gradient sum reads 0.0
+    assert g2[5] == 0.0 and 5 in g2
+    w.update({7: -1.0})
+    g2.update({7: 4.0})
+    assert w == {5: 0.25, 7: -1.0} and g2 == {5: 0.0, 7: 4.0}
+    assert w != {5: 0.25} and list(w) == [5, 7] and len(g2) == 2
+    assert g.weights == w  # a fresh view reads the same lists
+    with pytest.raises(TypeError):
+        del w[5]
+    with pytest.raises(TypeError):
+        g2.pop(7)
+    assert w == {5: 0.25, 7: -1.0}
+    # a write through a view reaches a score taken from the cached slot list
+    x = sv({5: 2.0, 7: 1.0})
+    assert g.raw(x) == 0.5 - 1.0
+    w[7] = 3.0
+    assert g.raw(x) == 0.5 + 3.0
+    ref = DictAdaGrad()
+    ref.weights, ref.grad_sq = dict(w), dict(g2)
+    assert g.update(x, -1, 1.0) == ref.route(x, -1, 1.0)
+    assert dict(g2) == ref.grad_sq and dict(w) == ref.weights

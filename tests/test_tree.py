@@ -586,6 +586,39 @@ def test_insert_scores_each_router_once_per_update(monkeypatch):
     assert calls["raw"] <= calls["update"]
 
 
+def test_every_router_step_of_an_insert_scores_once_and_updates_once(monkeypatch):
+    # a profiler's per-layer map counts RouterModel.raw and RouterModel.update
+    # by name, so a router step keeps both calls, one each
+    calls = []
+    raw, update, route_step = RouterModel.raw, RouterModel.update, Tree._route_step
+
+    def counting_raw(self, x):
+        calls.append("raw")
+        return raw(self, x)
+
+    def counting_update(self, x, y, importance, score=None):
+        calls.append("update")
+        return update(self, x, y, importance, score)
+
+    steps = []
+
+    def counted_step(self, v, x):
+        start = len(calls)
+        child = route_step(self, v, x)
+        steps.append(calls[start:])
+        return child
+
+    monkeypatch.setattr(RouterModel, "raw", counting_raw)
+    monkeypatch.setattr(RouterModel, "update", counting_update)
+    monkeypatch.setattr(Tree, "_route_step", counted_step)
+    t = Tree(seed=23)  # the library default: learned scorer, d=5
+    for z in random_memories(150, seed=23):
+        t.insert(z)
+    assert t.max_depth() >= 4 and len(steps) > 1000
+    assert all(step == ["raw", "update"] for step in steps)
+    assert calls.count("update") == len(steps)
+
+
 # -- remove ----------------------------------------------------------------------
 
 def test_remove_last_memory_leaves_empty_root_leaf():
