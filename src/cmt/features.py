@@ -51,13 +51,13 @@ class SparseVector:
     arguments apart from cheap validation, and :meth:`trusted` skips even
     that.
 
-    A vector caches its `fingerprint` and its `norm` the first time each is
-    asked for. The caches are only sound because a vector never changes
-    after it is built: code that rebinds `indices` or `values` of a built
-    vector breaks them.
+    A vector caches its `fingerprint`, its `norm` and its values `array` the
+    first time each is asked for. The caches are only sound because a vector
+    never changes after it is built: code that rebinds `indices` or `values`
+    of a built vector breaks them.
     """
 
-    __slots__ = ("indices", "values", "_fingerprint", "_norm")
+    __slots__ = ("indices", "values", "_fingerprint", "_norm", "_array")
 
     def __init__(self, indices: tuple[int, ...] = (), values: tuple[float, ...] = ()):
         if len(indices) != len(values):
@@ -74,6 +74,7 @@ class SparseVector:
         self.values = tuple(float(v) for v in values)
         self._fingerprint = None
         self._norm = None
+        self._array = None
 
     @classmethod
     def trusted(cls, indices: tuple[int, ...], values: tuple[float, ...]) -> "SparseVector":
@@ -83,6 +84,7 @@ class SparseVector:
         vec.values = values
         vec._fingerprint = None
         vec._norm = None
+        vec._array = None
         return vec
 
     @classmethod
@@ -130,6 +132,18 @@ class SparseVector:
             n = self._norm = math.sqrt(total)
         return n
 
+    def array(self):
+        """The values as a read-only float64 numpy array, built on the first
+        call and cached. numpy is imported here, not when cmt is."""
+        a = self._array
+        if a is None:
+            import numpy as np
+
+            a = np.fromiter(self.values, np.float64, len(self.values))
+            a.setflags(write=False)
+            self._array = a
+        return a
+
     def to_bytes(self) -> bytes:
         """Canonical byte serialization: packed indices then packed values."""
         n = len(self.indices)
@@ -174,7 +188,7 @@ def l2_distance(a: SparseVector, b: SparseVector) -> float:
     Two vectors with one index set (every synth vector, any dense
     representation) take one zip pass over their values; any other pair
     takes the merge. Both add each square in index order, left to right, as
-    `learners._pair_map` and `ScorerModel.predict` sum the distance.
+    `learners._pair_map` and the scorer's block pass sum the distance.
     """
     ai, av = a.indices, a.values
     bi, bv = b.indices, b.values

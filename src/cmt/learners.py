@@ -13,12 +13,19 @@ with no per-feature dict lookup. A key with its own index set, as hashed
 text has, looks each feature up once in the score and steps on the slots it
 found. Results are bit for bit those of two dicts keyed by feature index,
 which `weights` and `grad_sq` still present as views.
+
+The scorer scores a whole leaf in one `predict` call. A leaf whose keys all
+share the query's index set is scored in one numpy pass over a (keys x
+features) block of their cached value arrays, each sum added left to right
+as the per-key loops add it, so the scores match those loops bit for bit;
+any other leaf is scored one key at a time. numpy is imported on first use,
+not with this module.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, MutableMapping
+from collections.abc import Iterator, MutableMapping, Sequence
 from typing import Optional
 
 from .features import SparseVector, l2_distance
@@ -231,9 +238,9 @@ def _pair_map(
     distance and the nonzero elementwise products a*b, listed with their
     positions in x. `x_norm` is x.norm(); ||key|| is key's cached norm. Each
     sum runs in the order of `dot` and `l2_distance`, so the scalars match
-    theirs bit for bit. `ScorerModel.predict` scores a key with x's index set in its
-    own zip pass, making this merge's equal-index steps in the same order;
-    every other pair comes here.
+    theirs bit for bit. `ScorerModel.predict` scores a leaf whose keys all have
+    x's index set in one block pass, making this merge's equal-index steps in
+    the same order; every other leaf comes here, one key at a time.
     """
     positions: list[int] = []
     products: list[float] = []
@@ -299,10 +306,77 @@ def pair_features(x: SparseVector, key: SparseVector) -> SparseVector:
     return SparseVector.trusted(tuple(indices), tuple(values))
 
 
-# What ScorerModel.predict needs of a query, whatever the key:
-# (||x||, cosine weight, distance weight, bias weight, product weights), the
-# last aligned with x.indices. A weight the model does not hold is None.
-Prepared = tuple[float, Optional[float], Optional[float], Optional[float], list]
+# What scoring any key against x needs of x alone: (||x||, cosine weight,
+# distance weight, bias weight, product weights), the last aligned with
+# x.indices. A weight the model does not hold is None.
+PairWeights = tuple[float, Optional[float], Optional[float], Optional[float], list]
+
+
+def _value_block(keys: Sequence[SparseVector]):
+    """The keys' cached value arrays as the rows of one (keys x features) block."""
+    import numpy as np
+
+    return np.array([k.array() for k in keys])
+
+
+def _row_sums(block):
+    """Sums over the last axis, each added left to right as the per-key loops
+    add it: np.sum may add pairwise, a cumulative sum adds in order. Only the
+    sign of a zero sum can differ from a loop's, and no score keeps that sign."""
+    import numpy as np
+
+    if not block.shape[-1]:
+        return np.zeros(block.shape[:-1])
+    return np.add.accumulate(block, axis=-1)[..., -1]  # np.cumsum, minus its wrapper
+
+
+def _block_distances(x: SparseVector, block) -> list[float]:
+    """-l2_distance(x, key) for each row of `block`, a key on x's index set."""
+    import numpy as np
+
+    with np.errstate(all="ignore"):  # overflow to inf, silent as Python floats are
+        diff = np.array(x.values, dtype=np.float64) - block
+        return np.negative(np.sqrt(_row_sums(diff * diff))).tolist()
+
+
+def _block_scores(x: SparseVector, block, weights: PairWeights) -> list[float]:
+    """The learned score of each row of `block`, a key on x's index set.
+
+    `terms` holds one column per pair feature in the order raw(pair_features)
+    adds them: cosine, distance, bias, then the products. A feature the sum
+    leaves out (a zero value, or no weight) holds -0.0, which adds nothing.
+    """
+    import numpy as np
+
+    x_norm, w_cos, w_dist, w_bias, w_prod = weights
+    m, n = block.shape
+    a = np.array(x.values, dtype=np.float64)
+    parts = np.empty((3, m, n))
+    terms = np.full((m, n + 3), -0.0)
+    with np.errstate(all="ignore"):  # overflow to inf and NaN, silent as Python floats are
+        products = np.multiply(block, a, out=parts[0])
+        np.subtract(a, block, out=parts[1])
+        np.multiply(parts[1], parts[1], out=parts[1])
+        np.multiply(block, block, out=parts[2])
+        xk, dist_sq, norm_sq = _row_sums(parts)
+        if w_cos is not None and x_norm != 0.0:
+            nk = np.sqrt(norm_sq)  # key.norm(), summed in the same order
+            sim = xk / (x_norm * nk)
+            np.copyto(terms[:, 0], w_cos * sim, where=(nk != 0.0) & (sim != 0.0))
+        if w_dist is not None:
+            dist = np.sqrt(dist_sq)
+            np.copyto(terms[:, 1], w_dist * (dist / (1.0 + dist)), where=dist != 0.0)
+        if w_bias is not None:
+            terms[:, 2] = w_bias
+        keep = products != 0.0  # an underflowed product is no feature
+        if None in w_prod:
+            keep &= np.array([wi is not None for wi in w_prod], dtype=bool)
+            w_prod = [0.0 if wi is None else wi for wi in w_prod]
+        w = np.array(w_prod, dtype=np.float64)
+        np.copyto(terms[:, 3:], products * w, where=keep)
+        total = np.add.accumulate(terms, axis=1)[:, -1]
+        total = np.where(total < 1.0, total, 1.0)  # min(1.0, total), NaN included
+        return np.where(total > 0.0, total, 0.0).tolist()
 
 
 class ScorerModel(LinearModel):
@@ -311,10 +385,6 @@ class ScorerModel(LinearModel):
     In "learned" mode this is a linear regressor over pair_features with
     predictions clamped to [0, 1]. In "euclidean" mode it is the fixed
     unsupervised score -||x - key||, and updates are ignored.
-
-    Scoring many keys against one query should `prepare` the query once and
-    pass the result to every `predict`: that looks up the query's weights
-    and norm once instead of once per key, with the same scores bit for bit.
     """
 
     __slots__ = ("mode",)
@@ -325,69 +395,62 @@ class ScorerModel(LinearModel):
         super().__init__()
         self.mode = mode
 
-    def prepare(self, x: SparseVector) -> Optional[Prepared]:
-        """Everything predict(x, key) needs of x alone, at the current weights.
+    def predict(self, x: SparseVector, keys: Sequence[SparseVector]) -> list[float]:
+        """Score of returning each of `keys` for `x`, in the order given.
 
-        None in euclidean mode, which has nothing to prepare. Stale once the
-        weights change.
+        The learned score is raw(pair_features(x, key)) clamped to [0, 1],
+        summed in the same order: cosine, distance, bias, then each product
+        term w * (a*b) in index order, skipping features without a weight.
+        The euclidean score is -l2_distance(x, key).
+
+        When every key has x's index set, as every synth and dense key has,
+        all keys are scored at once over a (keys x features) block of their
+        cached value arrays, with every sum added left to right as the
+        per-key loops add it, so the scores match those loops bit for bit.
+        Otherwise each key is scored on its own, through `_pair_map` or
+        `l2_distance`.
         """
+        if not keys:
+            return []
+        xi = x.indices
+        for k in keys:
+            ki = k.indices
+            if ki is not xi:
+                if ki != xi:
+                    break
+                xi = ki  # later keys sharing this tuple pass on identity
+        else:  # every key has x's index set
+            block = _value_block(keys)
+            if self.mode == SCORER_EUCLIDEAN:
+                return _block_distances(x, block)
+            return _block_scores(x, block, self._pair_weights(x))
         if self.mode == SCORER_EUCLIDEAN:
-            return None
+            return [-l2_distance(x, k) for k in keys]
+        x_norm, w_cos, w_dist, w_bias, w_prod = self._pair_weights(x)
+        scores = []
+        for key in keys:
+            sim, dist, positions, products = _pair_map(x, key, x_norm)
+            total = 0.0
+            if sim != 0.0 and w_cos is not None:
+                total += w_cos * sim
+            if dist != 0.0 and w_dist is not None:
+                total += w_dist * (dist / (1.0 + dist))
+            if w_bias is not None:
+                total += w_bias  # times the bias feature, 1.0
+            for i, prod in zip(positions, products):
+                wi = w_prod[i]
+                if wi is not None:
+                    total += wi * prod
+            scores.append(max(0.0, min(1.0, total)))
+        return scores
+
+    def _pair_weights(self, x: SparseVector) -> PairWeights:
+        """What scoring any key against x needs of x alone, at the current weights."""
         get, w = self._slot.get, self._w
         features = (PAIR_COSINE, PAIR_DISTANCE, PAIR_BIAS,
                     *[i + PAIR_PRODUCT_OFFSET for i in x.indices])
         ws = [None if (s := get(i)) is None else w[s] for i in features]
         return x.norm(), ws[0], ws[1], ws[2], ws[3:]
-
-    def predict(self, x: SparseVector, key: SparseVector, q: Optional[Prepared] = None) -> float:
-        """Score of returning `key` for `x`; `q` is prepare(x) when the caller has it.
-
-        The learned score is raw(pair_features(x, key)) clamped to [0, 1],
-        summed in the same order: cosine, distance, bias, then each product
-        term w * (a*b) in index order, skipping features without a weight.
-
-        A key with x's index set, as every synth and dense key has, is scored
-        in two zip passes (the scalars, then the product terms) that make the
-        merge's float operations in its order without building its lists.
-        Any other key goes through `_pair_map`.
-        """
-        if self.mode == SCORER_EUCLIDEAN:
-            return -l2_distance(x, key)
-        if q is None:
-            q = self.prepare(x)
-        x_norm, w_cos, w_dist, w_bias, w_prod = q
-        av, bv = x.values, key.values
-        same_support = x.indices is key.indices or x.indices == key.indices
-        if same_support:
-            xk = dist_sq = 0.0
-            for a, b in zip(av, bv):
-                xk += a * b
-                d = a - b
-                dist_sq += d * d
-            nk = key.norm()
-            sim = 0.0 if x_norm == 0.0 or nk == 0.0 else xk / (x_norm * nk)
-            dist = math.sqrt(dist_sq)
-        else:
-            sim, dist, positions, products = _pair_map(x, key, x_norm)
-        total = 0.0
-        if sim != 0.0 and w_cos is not None:
-            total += w_cos * sim
-        if dist != 0.0 and w_dist is not None:
-            total += w_dist * (dist / (1.0 + dist))
-        if w_bias is not None:
-            total += w_bias  # times the bias feature, 1.0
-        if same_support:
-            for wi, a, b in zip(w_prod, av, bv):
-                if wi is not None:
-                    prod = a * b
-                    if prod != 0.0:  # an underflowed product is no feature
-                        total += wi * prod
-        else:
-            for i, prod in zip(positions, products):
-                wi = w_prod[i]
-                if wi is not None:
-                    total += wi * prod
-        return max(0.0, min(1.0, total))
 
     def update(self, x: SparseVector, key: SparseVector, r: float) -> None:
         if not (0.0 <= r <= 1.0):

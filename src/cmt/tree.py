@@ -278,22 +278,20 @@ class Tree:
     def top_k(self, leaf: Leaf, x: SparseVector, k: int) -> list[Memory]:
         """Best-scored min(k, |mem|) memories; exact ties go by `_tie_order`.
 
-        The scorer prepares x once per call; each memory is still scored by
-        its own `predict` call, the leaf-scoring layer perfbench times.
+        One `predict` call scores the whole leaf, its keys in stored order:
+        the leaf-scoring layer perfbench times.
         """
-        f = self.f
-        q = f.prepare(x)
+        mem = leaf.mem
+        scores = self.f.predict(x, [z.x for z in mem])
         if k == 1:
             best, tied = -math.inf, []
-            for z in leaf.mem:
-                s = f.predict(x, z.x, q)
+            for z, s in zip(mem, scores):
                 if s > best:
                     best, tied = s, [z]
                 elif s == best:
                     tied.append(z)
             return tied if len(tied) < 2 else [min(tied, key=self._tie_order(x))]
-        mem = leaf.mem
-        scored = sorted((-f.predict(x, z.x, q), idx) for idx, z in enumerate(mem))
+        scored = sorted((-s, idx) for idx, s in enumerate(scores))
         ranked: list[Memory] = []
         order = None
         for _, run in groupby(scored, key=itemgetter(0)):

@@ -732,6 +732,20 @@ def test_public_surface_resolves():
         assert namespace[name] is getattr(cmt, name), name
 
 
+def test_import_cmt_leaves_numpy_unloaded():
+    # numpy loads on first use (synth inputs, a leaf's block scoring), so a
+    # fresh `import cmt`, which the benchmark's setup_s times, stays cheap
+    src = str(Path(cmt.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cmt; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_module_entry_point(tmp_path):
     data = write_multiclass_file(tmp_path / "t.vw", classes=3, shots=1)
     # the child imports the same cmt as this process, also when pytest's

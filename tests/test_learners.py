@@ -1,6 +1,9 @@
+import contextlib
+import io
 import math
 import random
 import struct
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -152,21 +155,21 @@ def test_pair_features_deterministic():
 def test_euclidean_scorer_scores_negative_distance():
     f = ScorerModel(mode="euclidean")
     x, k = sv({1: 1.0}), sv({1: 3.0})
-    assert f.predict(x, x) == 0.0  # maximum possible
-    assert f.predict(x, k) == -l2_distance(x, k)
+    assert f.predict(x, [x]) == [0.0]  # maximum possible
+    assert f.predict(x, [k]) == [-l2_distance(x, k)]
 
 
 def test_learned_scorer_zero_init_predicts_zero():
     f = ScorerModel()
-    assert f.predict(sv({1: 1.0}), sv({1: 1.0})) == 0.0
+    assert f.predict(sv({1: 1.0}), [sv({1: 1.0})]) == [0.0]
 
 
 def test_scorer_one_update_strictly_increases_prediction():
     f = ScorerModel()
     x = sv({1: 1.0})
-    before = f.predict(x, x)
+    [before] = f.predict(x, [x])
     f.update(x, x, 1.0)
-    after = f.predict(x, x)
+    [after] = f.predict(x, [x])
     # hand value: three unit features (cosine, bias, product), each stepping
     # 0.1 / sqrt(2), so the raw score lands at 0.3 / sqrt(2)
     assert after > before
@@ -178,10 +181,10 @@ def test_scorer_prediction_clamped_to_unit_interval():
     x = sv({1: 5.0})
     for _ in range(200):
         f.update(x, x, 1.0)
-    assert f.predict(x, x) <= 1.0
+    assert f.predict(x, [x])[0] <= 1.0
     for _ in range(400):
         f.update(x, x, 0.0)
-    assert f.predict(x, x) >= 0.0
+    assert f.predict(x, [x])[0] >= 0.0
 
 
 def test_scorer_skips_underflowed_products_whatever_their_weight():
@@ -192,7 +195,7 @@ def test_scorer_skips_underflowed_products_whatever_their_weight():
     f.weights[3 + PAIR_PRODUCT_OFFSET] = math.inf
     f.weights[5 + PAIR_PRODUCT_OFFSET] = 0.5
     for k in (sv({3: 1e-200, 5: 0.25}), sv({3: 1e-200, 5: 0.25, 7: 1.0})):
-        assert f.predict(x, k) == f.raw(pair_features(x, k)) == 0.0625
+        assert f.predict(x, [k]) == [f.raw(pair_features(x, k))] == [0.0625]
 
 
 def test_scorer_converges_toward_target():
@@ -200,7 +203,7 @@ def test_scorer_converges_toward_target():
     x, k = sv({1: 1.0, 2: -0.5}), sv({1: 0.5, 3: 1.0})
     for _ in range(500):
         f.update(x, k, 1.0)
-    assert abs(f.predict(x, k) - 1.0) <= 0.05
+    assert abs(f.predict(x, [k])[0] - 1.0) <= 0.05
 
 
 def test_euclidean_scorer_ignores_updates():
@@ -346,31 +349,103 @@ def test_scorer_predict_equals_clamped_raw_pair_score(x, keys, far, updates):
     f = ScorerModel()
     for q, k, r in updates:
         f.update(q, k, r)
-    # keys on x's index set take predict's zip passes, the rest the merge
+    # a key on x's index set, scored alone, takes predict's block pass; the
+    # whole list, mixing supports, takes the per-key merge
     keys = keys + [far, x, SparseVector()] + same_support(x, far)
     expected = [max(0.0, min(1.0, f.raw(pair_features(x, k)))) for k in keys]
-    assert [f.predict(x, k) for k in keys] == expected
+    assert [f.predict(x, [k])[0] for k in keys] == expected
+    assert f.predict(x, keys) == expected
     assert [max(0.0, min(1.0, f.raw(reference_pair_features(x, k)))) for k in keys] == expected
     euclidean = ScorerModel(mode="euclidean")
-    assert [euclidean.predict(x, k) for k in keys] == [-l2_distance(x, k) for k in keys]
+    distances = [-l2_distance(x, k) for k in keys]
+    assert [euclidean.predict(x, [k])[0] for k in keys] == distances
+    assert euclidean.predict(x, keys) == distances
 
 
-# -- prepared queries: the per-read scorer context -------------------------------------------
+# -- whole-leaf predicts: one call scores every key ------------------------------------------
 
 @settings(max_examples=200)
 @given(small_vector, st.lists(st.one_of(small_vector, far_vector), max_size=5),
        st.lists(st.tuples(st.one_of(small_vector, far_vector), small_vector,
                           st.floats(0.0, 1.0)), max_size=8))
-def test_prepared_predict_equals_predict_and_clamped_raw(x, keys, updates):
+def test_leaf_predict_equals_one_predict_per_key_and_clamped_raw(x, keys, updates):
     f = ScorerModel()
     for q, k, r in updates:
         f.update(q, k, r)
     for query in (x, SparseVector()):
-        prepared = f.prepare(query)
-        for k in keys + [x, SparseVector()] + same_support(query, updates[0][1] if updates else x):
-            expected = max(0.0, min(1.0, f.raw(pair_features(query, k))))
-            assert f.predict(query, k, prepared) == f.predict(query, k) == expected
-    assert ScorerModel(mode="euclidean").prepare(x) is None
+        leaf = keys + [x, SparseVector()] + same_support(query, updates[0][1] if updates else x)
+        expected = [max(0.0, min(1.0, f.raw(pair_features(query, k)))) for k in leaf]
+        assert f.predict(query, leaf) == [f.predict(query, [k])[0] for k in leaf] == expected
+    assert ScorerModel(mode="euclidean").predict(x, []) == f.predict(x, []) == []
+
+
+# values whose products and differences overflow to inf, beside the tiny ones
+# whose products underflow to 0.0; sin(i) gives arbitrary non-dyadic values,
+# which hypothesis's own floats seldom are
+HUGE = (1e200, -3e200)
+arbitrary = st.integers(1, 10**6).map(lambda i: 4.0 * math.sin(i))
+leaf_value = arbitrary | st.floats(-4.0, 4.0).filter(lambda v: v != 0.0) | st.sampled_from(TINY + HUGE)
+
+
+# up to 16 features, as many as a synth key has: from 8 terms on, a pairwise
+# sum would add in another order than the per-key loops
+wide_vector = st.builds(
+    SparseVector.from_pairs,
+    st.lists(st.tuples(st.integers(0, 19), arbitrary | value), max_size=16),
+)
+
+
+@st.composite
+def shared_support_leaf(draw):
+    """A query and a leaf of keys on its index set: some on its indices tuple,
+    some on an equal copy, the query itself and an equal copy of it."""
+    n = draw(st.integers(0, 16))
+    indices = tuple(sorted(draw(st.sets(st.integers(0, 19), min_size=n, max_size=n))))
+
+    def vector(idx):
+        return SparseVector.trusted(idx, tuple(draw(st.lists(leaf_value, min_size=n, max_size=n))))
+
+    x = vector(indices)
+    keys = [vector(draw(st.sampled_from([indices, tuple(list(indices))])))
+            for _ in range(draw(st.integers(0, 5)))]
+    keys += [x, SparseVector.trusted(tuple(list(indices)), x.values)]
+    draw(st.randoms()).shuffle(keys)
+    return x, keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_support_leaf(),
+       st.lists(st.tuples(wide_vector, wide_vector, st.floats(0.0, 1.0)), max_size=8))
+def test_shared_support_leaf_scores_equal_the_per_pair_definitions(leaf, updates):
+    x, keys = leaf
+    trained = ScorerModel()
+    for q, k, r in updates:
+        trained.update(q, k, r)
+    euclidean = ScorerModel(mode="euclidean")
+    empty = SparseVector()
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")  # numpy's RuntimeWarnings too
+        for query, leaf_keys in ((x, keys), (empty, [empty, SparseVector.trusted((), ())])):
+            for f in (ScorerModel(), trained):  # untrained: every weight None
+                expected = [max(0.0, min(1.0, f.raw(pair_features(query, k)))) for k in leaf_keys]
+                assert f.predict(query, leaf_keys) == expected
+            assert euclidean.predict(query, leaf_keys) == [-l2_distance(query, k) for k in leaf_keys]
+        assert ScorerModel().predict(x, keys) == [0.0] * len(keys)
+    assert stderr.getvalue() == ""
+
+
+def test_mixed_support_leaf_takes_the_per_key_path():
+    x = sv({1: 1.5, 2: -0.5})
+    keys = [sv({1: 0.5, 2: 2.0}), sv({1: 1.0, 5: 3.0}), sv({2: 1.0}), x]
+    f = ScorerModel()
+    for k in keys:
+        f.update(x, k, 0.75)
+    expected = [max(0.0, min(1.0, f.raw(pair_features(x, k)))) for k in keys]
+    assert f.predict(x, keys) == expected
+    assert ScorerModel(mode="euclidean").predict(x, keys) == [-l2_distance(x, k) for k in keys]
+    # the block pass caches each key's value array; the per-key path builds none
+    assert all(k._array is None for k in keys)
 
 
 # -- slot lists: bit-identical to the dict-backed AdaGrad they replaced ----------------------
@@ -473,7 +548,7 @@ def test_scorer_slots_match_the_dict_reference_bit_for_bit(updates, probe):
         ref.score(x, key, r)
         phi = pair_features(x, key)
         assert f.raw(phi) == ref.raw(phi)
-        assert f.predict(probe, key) == max(0.0, min(1.0, ref.raw(pair_features(probe, key))))
+        assert f.predict(probe, [key]) == [max(0.0, min(1.0, ref.raw(pair_features(probe, key))))]
     assert_same_model(f, ref)
 
 

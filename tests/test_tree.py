@@ -278,31 +278,34 @@ def test_clamped_ties_do_not_favour_the_key_read():
     leaf = leaf_of(*memories)
     t = wire(Tree(d=0, seed=5), leaf)
     t.f.weights[PAIR_BIAS] = 10.0
-    assert {t.f.predict(memories[0].x, z.x) for z in memories} == {1.0}
+    assert set(t.f.predict(memories[0].x, [z.x for z in memories])) == {1.0}
     self_wins = sum(t.query(z.x, 1, 0.0).memories[0] is z for z in memories)
     assert self_wins < 20
 
 
 @pytest.mark.parametrize("mode", ["learned", "euclidean"])
-def test_top_k_prepares_once_and_predicts_once_per_memory(monkeypatch, mode):
+def test_top_k_predicts_once_per_read_with_the_leaf_keys(monkeypatch, mode):
     # the benchmark times leaf scoring through ScorerModel.predict by name,
-    # so a read must keep calling it once per memory
-    calls = {"prepare": [], "predict": []}
-    for name in calls:
-        original = getattr(ScorerModel, name)
+    # so a read must keep calling it: once, with the leaf's keys in stored order
+    calls = []
+    original = ScorerModel.predict
 
-        def counted(self, x, *rest, _original=original, _log=calls[name]):
-            _log.append(x)
-            return _original(self, x, *rest)
+    def counted(self, x, keys):
+        calls.append((x, list(keys)))
+        return original(self, x, keys)
 
-        monkeypatch.setattr(ScorerModel, name, counted)
+    monkeypatch.setattr(ScorerModel, "predict", counted)
     memories = random_memories(7, seed=2)
     leaf = leaf_of(*memories)
     t = wire(Tree(scorer=ScorerModel(mode=mode), d=0), leaf)
     x = random_memories(1, seed=9)[0].x
-    t.top_k(leaf, x, 3)
-    assert calls["prepare"] == [x]
-    assert calls["predict"] == [x] * len(memories)
+    for k in (3, 1):
+        calls.clear()
+        t.top_k(leaf, x, k)
+        assert len(calls) == 1
+        assert calls[0][0] is x
+        assert calls[0][1] == [z.x for z in leaf.mem]
+        assert all(a is z.x for a, z in zip(calls[0][1], leaf.mem))
 
 
 def test_rand_k_empty_and_overlarge():
