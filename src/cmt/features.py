@@ -185,19 +185,13 @@ def dot(a: SparseVector, b: SparseVector) -> float:
 def l2_distance(a: SparseVector, b: SparseVector) -> float:
     """Euclidean norm of a - b.
 
-    Two vectors with one index set (every synth vector, any dense
-    representation) take one zip pass over their values; any other pair
-    takes the merge. Both add each square in index order, left to right, as
-    `learners._pair_map` and the scorer's block pass sum the distance.
+    One merge pass over both supports adds each square in index order, left
+    to right, as `learners._pair_map` and the scorer's block pass sum the
+    distance.
     """
     ai, av = a.indices, a.values
     bi, bv = b.indices, b.values
     total = 0.0
-    if ai is bi or ai == bi:
-        for p, q in zip(av, bv):
-            d = p - q
-            total += d * d
-        return math.sqrt(total)
     i = j = 0
     na, nb = len(ai), len(bi)
     while i < na and j < nb:

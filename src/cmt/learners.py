@@ -11,8 +11,8 @@ every feature known. Every key of a synth or dense store shares one index
 tuple, so a router's score and step usually run on list subscripts alone,
 with no per-feature dict lookup. A key with its own index set, as hashed
 text has, looks each feature up once in the score and steps on the slots it
-found. Results are bit for bit those of two dicts keyed by feature index,
-which `weights` and `grad_sq` still present as views.
+found. Results are bit for bit those of two dicts keyed by feature index.
+`entries` and `set_entries` read and write a model's whole state.
 
 The scorer scores a whole leaf in one `predict` call. A leaf whose keys all
 share the query's index set is scored in one numpy pass over a (keys x
@@ -25,7 +25,7 @@ not with this module.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, MutableMapping, Sequence
+from collections.abc import Sequence
 from typing import Optional
 
 from .features import SparseVector, l2_distance
@@ -62,8 +62,8 @@ class LinearModel:
     (index tuple, positions) pair, held in a single attribute so a
     concurrent reader never sees half of one. Only `raw` fills it, and only
     when every index of x already has a slot; it is a cache, not model
-    state, and changes no output. `weights` and `grad_sq` are live
-    dict-like views of the two lists.
+    state, and changes no output. `entries` and `set_entries` read and
+    write the whole state; `weights` is a copy of the weights alone.
     """
 
     __slots__ = ("_slot", "_w", "_g2", "_memo", "update_count", "mistake_count")
@@ -77,12 +77,10 @@ class LinearModel:
         self.mistake_count = 0
 
     @property
-    def weights(self) -> "SlotView":
-        return SlotView(self, self._w)
-
-    @property
-    def grad_sq(self) -> "SlotView":
-        return SlotView(self, self._g2)
+    def weights(self) -> dict[int, float]:
+        """A copy of every feature's weight, in the order the features arrived."""
+        w = self._w
+        return {i: w[s] for i, s in self._slot.items()}
 
     def _slots(self, indices) -> list[int]:
         """The slot of each index; a new one holds weight 0.0 and squared-gradient sum 0.0."""
@@ -162,39 +160,6 @@ class LinearModel:
         return total
 
 
-class SlotView(MutableMapping):
-    """A live dict-like view of one of a LinearModel's slot lists.
-
-    Assigning to an index without a slot makes the slot, so the other list
-    reads 0.0 there. Slots never go away: deleting raises TypeError.
-    """
-
-    __slots__ = ("_model", "_values")
-
-    def __init__(self, model: LinearModel, values: list[float]):
-        self._model = model
-        self._values = values
-
-    def __getitem__(self, i: int) -> float:
-        return self._values[self._model._slot[i]]
-
-    def get(self, i: int, default=None):
-        s = self._model._slot.get(i)
-        return default if s is None else self._values[s]
-
-    def __setitem__(self, i: int, value: float) -> None:
-        self._values[self._model._slots((i,))[0]] = value
-
-    def __delitem__(self, i: int) -> None:
-        raise TypeError("a linear model's slots cannot be deleted")
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._model._slot)
-
-    def __len__(self) -> int:
-        return len(self._model._slot)
-
-
 class RouterModel(LinearModel):
     """Importance-weighted online logistic classifier used at internal nodes."""
 
@@ -237,8 +202,8 @@ def _pair_map(
     One merge pass over both vectors accumulates the dot product, the squared
     distance and the nonzero elementwise products a*b, listed with their
     positions in x. `x_norm` is x.norm(); ||key|| is key's cached norm. Each
-    sum runs in the order of `dot` and `l2_distance`, so the scalars match
-    theirs bit for bit. `ScorerModel.predict` scores a leaf whose keys all have
+    sum runs in the order of `dot` and of `l2_distance`'s own merge, so the
+    scalars match theirs bit for bit. `ScorerModel.predict` scores a leaf whose keys all have
     x's index set in one block pass, making this merge's equal-index steps in
     the same order; every other leaf comes here, one key at a time.
     """

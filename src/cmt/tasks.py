@@ -133,23 +133,18 @@ class OASModel:
             label: scorers[label].raw(x) if label in scorers else 0.0 for label in candidates
         }
 
-    def predict(self, candidates, x: SparseVector, scores=None) -> set[int]:
-        """The candidates scoring above 0. `scores` is `self.scores(candidates, x)`
-        when the caller already has it."""
-        if scores is None:
-            scores = self.scores(candidates, x)
-        return {label for label in candidates if scores[label] > 0.0}
+    def predict(self, scores: dict[int, float]) -> set[int]:
+        """The labels of `scores`, from `self.scores`, that score above 0."""
+        return {label for label, score in scores.items() if score > 0.0}
 
-    def update(self, candidates, x: SparseVector, truth: frozenset[int], scores=None) -> None:
-        """One logistic step per candidate toward its membership in `truth`.
+    def update(self, x: SparseVector, truth: frozenset[int], scores: dict[int, float]) -> None:
+        """One logistic step per label of `scores` toward its membership in `truth`.
 
-        `scores` is `self.scores(candidates, x)` before the step when the
-        caller already has it: each label has its own scorer, so one label's
-        step leaves the others' scores as they were.
+        `scores` is `self.scores(candidates, x)` before the step: each label
+        has its own scorer, so one label's step leaves the others' scores as
+        they were.
         """
-        if scores is None:
-            scores = self.scores(candidates, x)
-        for label in sorted(candidates):
+        for label in sorted(scores):
             scorer = self.scorers.get(label)
             if scorer is None:
                 scorer = self.scorers[label] = RouterModel()
@@ -179,10 +174,10 @@ def oas_step(
     for z in result.memories:
         candidates |= z.value
     scores = oas.scores(candidates, ex.x)
-    predicted = oas.predict(candidates, ex.x, scores)
+    predicted = oas.predict(scores)
     if train:
         if candidates:
-            oas.update(candidates, ex.x, ex.labels, scores)
+            oas.update(ex.x, ex.labels, scores)
         if result.key is not None:
             top = result.memories[0]
             t.update(ex.x, top, f1_reward(ex.labels, top.value), result.key)

@@ -131,6 +131,8 @@ def balance_bound(p: float, alpha: float, T: float = math.inf) -> float:
         raise ValueError("p must lie in [0, 1)")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
+    if not T > 0.0:
+        raise ValueError("T must be positive")
     numer = 1.0 + math.exp((1.0 - alpha) / alpha)
     denom = (1.0 - p) - (0.0 if math.isinf(T) else numer / T)
     if denom <= 0.0:

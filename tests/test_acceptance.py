@@ -36,6 +36,7 @@ from cmt.tree import (
     path,
     reward_difference_estimate,
 )
+from helpers import set_weight
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -248,7 +249,7 @@ def test_c08_scorer_gradient_check():
         r = rng.random()
         phi = pair_features(x, key)
         for i in phi.indices:
-            f.weights[i] = rng.uniform(-1, 1)
+            set_weight(f, i, rng.uniform(-1, 1))
         start = dict(f.weights)
 
         def loss() -> float:
@@ -258,11 +259,11 @@ def test_c08_scorer_gradient_check():
         numeric = {}
         for i in phi.indices:
             eps = 1e-5
-            f.weights[i] = start[i] + eps
+            set_weight(f, i, start[i] + eps)
             up = loss()
-            f.weights[i] = start[i] - eps
+            set_weight(f, i, start[i] - eps)
             down = loss()
-            f.weights[i] = start[i]
+            set_weight(f, i, start[i])
             numeric[i] = (up - down) / (2 * eps)
         f.update(x, key, r)
         for i in phi.indices:

@@ -23,6 +23,7 @@ from cmt.learners import (
 )
 from cmt.snapshot import _pack_model
 from cmt.tree import Internal, Leaf, path
+from helpers import set_weight
 
 
 def sv(mapping):
@@ -56,9 +57,9 @@ def test_router_one_step_matches_hand_gradient():
 def test_router_zero_importance_is_a_no_op():
     g = RouterModel()
     g.update(X, 1, 1.0)
-    before = (dict(g.weights), dict(g.grad_sq), g.mistake_count)
+    before = (g.entries(), g.mistake_count)
     g.update(X, -1, 0.0)
-    assert (dict(g.weights), dict(g.grad_sq), g.mistake_count) == before
+    assert (g.entries(), g.mistake_count) == before
     assert g.update_count == 2
 
 
@@ -192,8 +193,8 @@ def test_scorer_skips_underflowed_products_whatever_their_weight():
     # read: an infinite one would turn the score into NaN
     f = ScorerModel()
     x = sv({3: 1e-200, 5: 0.5})
-    f.weights[3 + PAIR_PRODUCT_OFFSET] = math.inf
-    f.weights[5 + PAIR_PRODUCT_OFFSET] = 0.5
+    set_weight(f, 3 + PAIR_PRODUCT_OFFSET, math.inf)
+    set_weight(f, 5 + PAIR_PRODUCT_OFFSET, 0.5)
     for k in (sv({3: 1e-200, 5: 0.25}), sv({3: 1e-200, 5: 0.25, 7: 1.0})):
         assert f.predict(x, [k]) == [f.raw(pair_features(x, k))] == [0.0625]
 
@@ -210,7 +211,7 @@ def test_euclidean_scorer_ignores_updates():
     f = ScorerModel(mode="euclidean")
     x = sv({1: 1.0})
     f.update(x, x, 1.0)
-    assert not f.weights and not f.grad_sq and f.update_count == 0
+    assert not f.entries() and f.update_count == 0
 
 
 def test_scorer_rejects_out_of_range_reward():
@@ -234,18 +235,18 @@ def test_scorer_gradient_matches_finite_differences():
         r = rng.random()
         phi = pair_features(x, k)
         for i in phi.indices:
-            f.weights[i] = rng.uniform(-1, 1)
+            set_weight(f, i, rng.uniform(-1, 1))
         acc = dict.fromkeys(phi.indices, 1.0)
         for _ in range(2):
             start = dict(f.weights)
             grad = {}
             for i in phi.indices:
                 eps = 1e-5
-                f.weights[i] = start[i] + eps
+                set_weight(f, i, start[i] + eps)
                 up = 0.5 * (f.raw(phi) - r) ** 2
-                f.weights[i] = start[i] - eps
+                set_weight(f, i, start[i] - eps)
                 down = 0.5 * (f.raw(phi) - r) ** 2
-                f.weights[i] = start[i]
+                set_weight(f, i, start[i])
                 grad[i] = (up - down) / (2 * eps)
             f.update(x, k, r)
             for i, g in grad.items():
@@ -270,7 +271,7 @@ def test_sigmoid_is_stable_at_extremes():
 def test_router_update_sparsity(pairs, y, importance):
     x = SparseVector.from_pairs(pairs)
     g = RouterModel()
-    g.weights[999] = 0.25  # feature never present in x
+    set_weight(g, 999, 0.25)  # feature never present in x
     g.update(x, y, importance)
     assert g.weights[999] == 0.25
     assert set(g.weights) - {999} <= set(x.indices)
@@ -315,8 +316,8 @@ def test_router_update_returns_raw_after_the_step(steps):
         assert a == fresh.raw(x)
         assert b == given_score.raw(x)
         assert a == b
-    assert (fresh.weights, fresh.grad_sq, fresh.mistake_count) == (
-        given_score.weights, given_score.grad_sq, given_score.mistake_count)
+    assert (fresh.entries(), fresh.mistake_count) == (
+        given_score.entries(), given_score.mistake_count)
 
 
 def reference_pair_features(x, key):
@@ -517,7 +518,7 @@ slot_op = st.tuples(st.sampled_from(sorted(SUPPORTS)), st.lists(nonzero, min_siz
 def assert_same_model(model, ref):
     assert dict(model.weights) == ref.weights
     assert list(model.weights) == list(ref.weights)
-    assert dict(model.grad_sq) == ref.grad_sq
+    assert {i: g2 for i, _, g2 in model.entries()} == ref.grad_sq
     assert (model.update_count, model.mistake_count) == (ref.update_count, ref.mistake_count)
     assert _pack_model(model) == ref.pack()
 
@@ -552,30 +553,31 @@ def test_scorer_slots_match_the_dict_reference_bit_for_bit(updates, probe):
     assert_same_model(f, ref)
 
 
-def test_weight_views_are_live_dicts_over_the_slots():
+def test_weights_is_a_copy_that_moves_no_score():
+    g, f = RouterModel(), ScorerModel()
+    x, k = sv({5: 2.0, 7: 1.0}), sv({5: 1.0, 9: 0.5})
+    g.update(x, 1, 1.0)
+    f.update(x, k, 0.75)
+    before = (g.raw(x), f.predict(x, [k, x]), g.entries(), f.entries())
+    for model in (g, f):
+        w = model.weights
+        assert type(w) is dict
+        for i in w:
+            w[i] = 100.0
+        w[1] = w[2] = w[9 + PAIR_PRODUCT_OFFSET] = -100.0
+        w.clear()
+    assert (g.raw(x), f.predict(x, [k, x]), g.entries(), f.entries()) == before
+
+
+def test_set_entries_reaches_a_score_from_the_cached_slot_list():
     g = RouterModel()
-    w, g2 = g.weights, g.grad_sq
-    assert w.get(5) is None and w.get(5, 1.5) == 1.5 and 5 not in w
-    with pytest.raises(KeyError):
-        w[5]
-    w[5] = 0.25  # makes the slot: its squared-gradient sum reads 0.0
-    assert g2[5] == 0.0 and 5 in g2
-    w.update({7: -1.0})
-    g2.update({7: 4.0})
-    assert w == {5: 0.25, 7: -1.0} and g2 == {5: 0.0, 7: 4.0}
-    assert w != {5: 0.25} and list(w) == [5, 7] and len(g2) == 2
-    assert g.weights == w  # a fresh view reads the same lists
-    with pytest.raises(TypeError):
-        del w[5]
-    with pytest.raises(TypeError):
-        g2.pop(7)
-    assert w == {5: 0.25, 7: -1.0}
-    # a write through a view reaches a score taken from the cached slot list
+    g.set_entries([(5, 0.25, 0.0), (7, -1.0, 4.0)])
     x = sv({5: 2.0, 7: 1.0})
     assert g.raw(x) == 0.5 - 1.0
-    w[7] = 3.0
+    assert g._memo[0] is x.indices  # every index of x has a slot: raw cached them
+    g.set_entries([(7, 3.0, 4.0)])  # an existing feature keeps its slot
     assert g.raw(x) == 0.5 + 3.0
     ref = DictAdaGrad()
-    ref.weights, ref.grad_sq = dict(w), dict(g2)
+    ref.weights, ref.grad_sq = {5: 0.25, 7: 3.0}, {5: 0.0, 7: 4.0}
     assert g.update(x, -1, 1.0) == ref.route(x, -1, 1.0)
-    assert dict(g2) == ref.grad_sq and dict(w) == ref.weights
+    assert_same_model(g, ref)

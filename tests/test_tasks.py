@@ -154,7 +154,7 @@ def test_oas_step_empty_tree_predicts_nothing():
 
 def test_oas_fresh_scorers_score_zero_not_positive():
     oas = OASModel()
-    assert oas.predict({1, 2, 3}, sv({1: 1.0})) == set()
+    assert oas.predict(oas.scores({1, 2, 3}, sv({1: 1.0}))) == set()
 
 
 def test_oas_candidates_bounded_by_leaf_content():
@@ -218,7 +218,7 @@ def ranked_oas_read(t: Tree, oas: OASModel, x: SparseVector):
     candidates: set[int] = set()
     for z in t.query(x, t.capacity(), 0.0).memories:
         candidates |= z.value
-    return oas.predict(candidates, x), candidates
+    return oas.predict(oas.scores(candidates, x)), candidates
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["synth", "sparse"])

@@ -4,6 +4,8 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmt.features import SparseVector, fingerprint
 from cmt.learners import PAIR_BIAS, RouterModel, ScorerModel
@@ -23,6 +25,7 @@ from cmt.tree import (
     path,
     reward_difference_estimate,
 )
+from helpers import set_weight
 
 
 def sv(mapping):
@@ -43,7 +46,8 @@ def wire(tree: Tree, root) -> Tree:
 
 def internal(weights, left, right) -> Internal:
     node = Internal(None, RouterModel())
-    node.g.weights.update(weights)
+    for i, w in weights.items():
+        set_weight(node.g, i, w)
     node.left, node.right = left, right
     left.parent = right.parent = node
     node.n = (len(left.mem) if left.is_leaf else left.n) + (
@@ -277,7 +281,7 @@ def test_clamped_ties_do_not_favour_the_key_read():
     memories = random_memories(200, seed=4)
     leaf = leaf_of(*memories)
     t = wire(Tree(d=0, seed=5), leaf)
-    t.f.weights[PAIR_BIAS] = 10.0
+    set_weight(t.f, PAIR_BIAS, 10.0)
     assert set(t.f.predict(memories[0].x, [z.x for z in memories])) == {1.0}
     self_wins = sum(t.query(z.x, 1, 0.0).memories[0] is z for z in memories)
     assert self_wins < 20
@@ -349,7 +353,7 @@ def test_update_deviation_trains_router_with_importance_y():
     expected = RouterModel()
     expected.update(x, 1, (1.0 - 0.5) * 2.0)
     assert root.g.weights == expected.weights
-    assert root.g.grad_sq == expected.grad_sq
+    assert root.g.entries() == expected.entries()
 
 
 def test_update_deviation_zero_signal_skips_router():
@@ -961,6 +965,24 @@ def test_balance_bound_domain():
         balance_bound(1.0, 0.9)
     with pytest.raises(ValueError):
         balance_bound(0.1, 0.0)
+
+
+@pytest.mark.parametrize("T", [0.0, -5.0, math.nan])
+def test_balance_bound_rejects_a_horizon_that_is_not_positive(T):
+    with pytest.raises(ValueError):
+        balance_bound(0.1, 0.9, T)
+
+
+@settings(max_examples=300)
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.01, 1.0),
+       st.floats(0.0, 1e12, exclude_min=True))
+def test_balance_bound_at_a_finite_horizon_is_never_below_the_limit(p, alpha, T):
+    limit = balance_bound(p, alpha, math.inf)
+    try:
+        finite = balance_bound(p, alpha, T)
+    except ValueError:  # vacuous at this horizon
+        return
+    assert finite >= limit
 
 
 # -- conservation across mixed operations -------------------------------------------
