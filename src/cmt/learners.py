@@ -15,11 +15,13 @@ found. Results are bit for bit those of two dicts keyed by feature index.
 `entries` and `set_entries` read and write a model's whole state.
 
 The scorer scores a whole leaf in one `predict` call. A leaf whose keys all
-share the query's index set is scored in one numpy pass over a (keys x
-features) block of their cached value arrays, each sum added left to right
-as the per-key loops add it, so the scores match those loops bit for bit;
-any other leaf is scored one key at a time. numpy is imported on first use,
-not with this module.
+share the query's index set is scored in one numpy pass over a block of
+their cached value arrays, each sum added in the order the per-key loops
+add it, so the scores match those loops bit for bit; any other leaf is
+scored one key at a time. The block, and for the learned score the keys'
+norms, depend on the keys alone: a tree leaf keeps the last ones built for
+it, and a read of a leaf whose keys have not changed reuses them. numpy is
+imported on first use, not with this module.
 """
 
 from __future__ import annotations
@@ -277,11 +279,12 @@ def pair_features(x: SparseVector, key: SparseVector) -> SparseVector:
 PairWeights = tuple[float, Optional[float], Optional[float], Optional[float], list]
 
 
-def _value_block(keys: Sequence[SparseVector]):
-    """The keys' cached value arrays as the rows of one (keys x features) block."""
+def _value_block(keys: Sequence[SparseVector], order: str = "C"):
+    """The keys' cached value arrays as the rows of one (keys x features)
+    block; with order "F" its transpose is a C-ordered (features x keys) block."""
     import numpy as np
 
-    return np.array([k.array() for k in keys])
+    return np.array([k.array() for k in keys], order=order)
 
 
 def _row_sums(block):
@@ -295,6 +298,20 @@ def _row_sums(block):
     return np.add.accumulate(block, axis=-1)[..., -1]  # np.cumsum, minus its wrapper
 
 
+def _column_sums(a):
+    """Sums over the first axis of a C-ordered 2-d array, each added in
+    order, as `_row_sums` adds a row. Across two or more columns
+    np.add.reduce adds row after row; a single column is one contiguous run,
+    which it would add pairwise."""
+    import numpy as np
+
+    if a.shape[1] > 1:
+        return np.add.reduce(a, axis=0)
+    if not a.shape[0]:
+        return np.zeros(a.shape[1])
+    return np.add.accumulate(a, axis=0)[-1]
+
+
 def _block_distances(x: SparseVector, block) -> list[float]:
     """-l2_distance(x, key) for each row of `block`, a key on x's index set."""
     import numpy as np
@@ -304,43 +321,68 @@ def _block_distances(x: SparseVector, block) -> list[float]:
         return np.negative(np.sqrt(_row_sums(diff * diff))).tolist()
 
 
-def _block_scores(x: SparseVector, block, weights: PairWeights) -> list[float]:
-    """The learned score of each row of `block`, a key on x's index set.
+def _cosine_norms(keys):
+    """key.norm() of each column of a (features x keys) block, its squares
+    summed in the same order; a zero norm is stored as inf.
 
-    `terms` holds one column per pair feature in the order raw(pair_features)
-    adds them: cosine, distance, bias, then the products. A feature the sum
-    leaves out (a zero value, or no weight) holds -0.0, which adds nothing.
+    The pair map's cosine is 0.0, no feature, for a key of norm 0.0. Its
+    dot product with any x is finite (each |a*b| is below 1e147 when b*b
+    underflows), so dividing it by inf gives that zero without a mask.
+    """
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        norms = np.sqrt(_column_sums(keys * keys))
+    norms[norms == 0.0] = np.inf
+    return norms
+
+
+def _block_scores(x: SparseVector, keys, norms, weights: PairWeights) -> list[float]:
+    """The learned score of each column of `keys`, a C-ordered (features x
+    keys) block of keys on x's index set, whose `_cosine_norms` are `norms`.
+
+    `terms` holds one row per pair feature in the order raw(pair_features)
+    adds them: cosine, distance, bias, then the products, and each key's sum
+    runs down its column. The per-key loop leaves out a zero cosine,
+    distance or product; adding w times that zero, a signed zero, adds
+    nothing either, unless w is not finite. A feature without a weight holds
+    -0.0. So only a missing or non-finite weight needs a mask.
     """
     import numpy as np
 
     x_norm, w_cos, w_dist, w_bias, w_prod = weights
-    m, n = block.shape
-    a = np.array(x.values, dtype=np.float64)
-    parts = np.empty((3, m, n))
-    terms = np.full((m, n + 3), -0.0)
+    n, m = keys.shape
+    a = np.array(x.values, dtype=np.float64)[:, None]
+    terms = np.empty((n + 3, m))
+    products = terms[3:]
     with np.errstate(all="ignore"):  # overflow to inf and NaN, silent as Python floats are
-        products = np.multiply(block, a, out=parts[0])
-        np.subtract(a, block, out=parts[1])
-        np.multiply(parts[1], parts[1], out=parts[1])
-        np.multiply(block, block, out=parts[2])
-        xk, dist_sq, norm_sq = _row_sums(parts)
-        if w_cos is not None and x_norm != 0.0:
-            nk = np.sqrt(norm_sq)  # key.norm(), summed in the same order
-            sim = xk / (x_norm * nk)
-            np.copyto(terms[:, 0], w_cos * sim, where=(nk != 0.0) & (sim != 0.0))
-        if w_dist is not None:
-            dist = np.sqrt(dist_sq)
-            np.copyto(terms[:, 1], w_dist * (dist / (1.0 + dist)), where=dist != 0.0)
-        if w_bias is not None:
-            terms[:, 2] = w_bias
-        keep = products != 0.0  # an underflowed product is no feature
-        if None in w_prod:
-            keep &= np.array([wi is not None for wi in w_prod], dtype=bool)
+        np.multiply(keys, a, out=products)
+        diff = a - keys
+        np.multiply(diff, diff, out=diff)
+        if w_cos is None or x_norm == 0.0:
+            terms[0] = -0.0
+        else:
+            sim = np.divide(_column_sums(products), np.multiply(norms, x_norm))
+            np.multiply(sim, w_cos, out=terms[0])
+            if not math.isfinite(w_cos):
+                terms[0, sim == 0.0] = -0.0
+        if w_dist is None:
+            terms[1] = -0.0
+        else:
+            dist = np.sqrt(_column_sums(diff))
+            np.multiply(dist / (1.0 + dist), w_dist, out=terms[1])
+            if not math.isfinite(w_dist):
+                terms[1, dist == 0.0] = -0.0
+        terms[2] = -0.0 if w_bias is None else w_bias
+        skip = None
+        if None in w_prod or not all(map(math.isfinite, w_prod)):
+            skip = products == 0.0  # an underflowed product is no feature
+            skip[[wi is None for wi in w_prod]] = True
             w_prod = [0.0 if wi is None else wi for wi in w_prod]
-        w = np.array(w_prod, dtype=np.float64)
-        np.copyto(terms[:, 3:], products * w, where=keep)
-        total = np.add.accumulate(terms, axis=1)[:, -1]
-        total = np.where(total < 1.0, total, 1.0)  # min(1.0, total), NaN included
+        np.multiply(products, np.array(w_prod)[:, None], out=products)
+        if skip is not None:
+            products[skip] = -0.0
+        total = np.fmin(_column_sums(terms), 1.0)  # min(1.0, total): NaN gives 1.0
         return np.where(total > 0.0, total, 0.0).tolist()
 
 
@@ -360,7 +402,7 @@ class ScorerModel(LinearModel):
         super().__init__()
         self.mode = mode
 
-    def predict(self, x: SparseVector, keys: Sequence[SparseVector]) -> list[float]:
+    def predict(self, x: SparseVector, keys: Sequence[SparseVector], leaf=None) -> list[float]:
         """Score of returning each of `keys` for `x`, in the order given.
 
         The learned score is raw(pair_features(x, key)) clamped to [0, 1],
@@ -369,26 +411,25 @@ class ScorerModel(LinearModel):
         The euclidean score is -l2_distance(x, key).
 
         When every key has x's index set, as every synth and dense key has,
-        all keys are scored at once over a (keys x features) block of their
-        cached value arrays, with every sum added left to right as the
-        per-key loops add it, so the scores match those loops bit for bit.
-        Otherwise each key is scored on its own, through `_pair_map` or
-        `l2_distance`.
+        all keys are scored at once over a block of their cached value
+        arrays: (keys x features) for the euclidean score, (features x keys)
+        with the keys' norms for the learned one. Every sum is added in the
+        order the per-key loops add it, so the scores match those loops bit
+        for bit. Otherwise each key is scored on its own, through
+        `_pair_map` or `l2_distance`.
+
+        `leaf`, when given, is an object with a `block` attribute (a tree
+        `Leaf`) that keeps what this call builds, so that a later call with
+        an equal key list and x's index set skips building it again.
         """
         if not keys:
             return []
-        xi = x.indices
-        for k in keys:
-            ki = k.indices
-            if ki is not xi:
-                if ki != xi:
-                    break
-                xi = ki  # later keys sharing this tuple pass on identity
-        else:  # every key has x's index set
-            block = _value_block(keys)
-            if self.mode == SCORER_EUCLIDEAN:
+        shared = self._shared_block(x, keys, leaf)
+        if shared is not None:
+            block, norms = shared
+            if norms is None:
                 return _block_distances(x, block)
-            return _block_scores(x, block, self._pair_weights(x))
+            return _block_scores(x, block, norms, self._pair_weights(x))
         if self.mode == SCORER_EUCLIDEAN:
             return [-l2_distance(x, k) for k in keys]
         x_norm, w_cos, w_dist, w_bias, w_prod = self._pair_weights(x)
@@ -408,6 +449,41 @@ class ScorerModel(LinearModel):
                     total += wi * prod
             scores.append(max(0.0, min(1.0, total)))
         return scores
+
+    def _shared_block(self, x: SparseVector, keys: Sequence[SparseVector], leaf):
+        """(block, norms) when every key has x's index set, else None.
+
+        The learned score gets a (features x keys) block and the keys'
+        `_cosine_norms`; the euclidean score a (keys x features) block and
+        None. A leaf's `block` is a (keys, index tuple, block, norms) tuple,
+        or None, and is stored whole in one attribute write. It is reused
+        while x has its index tuple and the key list it was built from
+        equals `keys`: list equality tests identity first, and an equal key
+        has equal values. So a read of a leaf changed since rebuilds it, and
+        nothing that changes a leaf needs to clear it.
+        """
+        xi = x.indices
+        learned = self.mode == SCORER_LEARNED
+        cached = None if leaf is None else leaf.block
+        if cached is not None:
+            built_from, indices, block, norms = cached
+            if ((indices is xi or indices == xi) and (norms is not None) == learned
+                    and built_from == keys):
+                return block, norms
+        for k in keys:
+            ki = k.indices
+            if ki is not xi:
+                if ki != xi:
+                    return None
+                xi = ki  # later keys sharing this tuple pass on identity
+        if learned:
+            block = _value_block(keys, "F").T
+            norms = _cosine_norms(block)
+        else:
+            block, norms = _value_block(keys), None
+        if leaf is not None:
+            leaf.block = (list(keys), xi, block, norms)
+        return block, norms
 
     def _pair_weights(self, x: SparseVector) -> PairWeights:
         """What scoring any key against x needs of x alone, at the current weights."""

@@ -57,11 +57,16 @@ class Memory:
 
 
 class Leaf:
-    __slots__ = ("parent", "mem")
+    """Memories in stored order. `block` is the scorer's cache of the value
+    block its last block-scored read built; `ScorerModel.predict` checks it
+    against the leaf's keys, so nothing that changes `mem` has to clear it."""
+
+    __slots__ = ("parent", "mem", "block")
 
     def __init__(self, parent: Optional["Internal"] = None):
         self.parent = parent
         self.mem: list[Memory] = []
+        self.block: Optional[tuple] = None
 
     is_leaf = True
 
@@ -125,7 +130,8 @@ def balance_bound(p: float, alpha: float, T: float = math.inf) -> float:
     """Worst-case partition skew K for a router with progressive error p.
 
     Each side of the split is guaranteed at least a 1/K fraction of the
-    memories. Raises ValueError where the bound is vacuous.
+    memories. Raises ValueError where the bound is vacuous, and where it is
+    too large for a float (alpha below about 0.0014).
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("p must lie in [0, 1)")
@@ -133,11 +139,17 @@ def balance_bound(p: float, alpha: float, T: float = math.inf) -> float:
         raise ValueError("alpha must lie in (0, 1]")
     if not T > 0.0:
         raise ValueError("T must be positive")
-    numer = 1.0 + math.exp((1.0 - alpha) / alpha)
+    try:
+        numer = 1.0 + math.exp((1.0 - alpha) / alpha)
+    except OverflowError:
+        numer = math.inf
     denom = (1.0 - p) - (0.0 if math.isinf(T) else numer / T)
     if denom <= 0.0:
         raise ValueError("bound vacuous: (1 - p) must exceed the finite-T correction")
-    return numer / denom
+    bound = numer / denom
+    if math.isinf(bound):
+        raise ValueError("bound overflows the float range")
+    return bound
 
 
 def path(x: SparseVector, v: Node) -> Leaf:
@@ -281,10 +293,12 @@ class Tree:
         """Best-scored min(k, |mem|) memories; exact ties go by `_tie_order`.
 
         One `predict` call scores the whole leaf, its keys in stored order:
-        the leaf-scoring layer perfbench times.
+        the leaf-scoring layer perfbench times. The leaf goes along, so a
+        read of a leaf whose keys have not changed since its last read reuses
+        the value block (and key norms) that read built.
         """
         mem = leaf.mem
-        scores = self.f.predict(x, [z.x for z in mem])
+        scores = self.f.predict(x, [z.x for z in mem], leaf)
         if k == 1:
             best, tied = -math.inf, []
             for z, s in zip(mem, scores):

@@ -473,6 +473,14 @@ def test_bench_reports_expected_columns():
         assert row["max_leaf"] <= 40  # capacity at these sizes
 
 
+def test_cli_bench_reports_a_bound_too_large_for_a_float_as_inf(capsys):
+    # at alpha 0.001, exp((1 - alpha) / alpha) overflows: the bound is no
+    # number, as a vacuous one is, and the command still succeeds
+    assert main(["bench", "--alpha", "0.001", "--sizes", "20"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert dict(zip(header.split("\t"), row.split("\t")))["K_bound"] == "inf"
+
+
 # -- CLI ------------------------------------------------------------------------------
 
 def test_cli_train_test_flow(tmp_path):

@@ -398,15 +398,20 @@ wide_vector = st.builds(
 
 @st.composite
 def shared_support_leaf(draw):
-    """A query and a leaf of keys on its index set: some on its indices tuple,
-    some on an equal copy, the query itself and an equal copy of it."""
-    n = draw(st.integers(0, 16))
+    """A query and a leaf of keys on its index set: either one key with 9 to
+    16 features, where a pairwise sum down its single column would add in
+    another order, or some keys on its indices tuple, some on an equal copy,
+    the query itself and an equal copy of it."""
+    one_key = draw(st.booleans())
+    n = draw(st.integers(9, 16) if one_key else st.integers(0, 16))
     indices = tuple(sorted(draw(st.sets(st.integers(0, 19), min_size=n, max_size=n))))
 
     def vector(idx):
         return SparseVector.trusted(idx, tuple(draw(st.lists(leaf_value, min_size=n, max_size=n))))
 
     x = vector(indices)
+    if one_key:
+        return x, [vector(draw(st.sampled_from([indices, tuple(list(indices))])))]
     keys = [vector(draw(st.sampled_from([indices, tuple(list(indices))])))
             for _ in range(draw(st.integers(0, 5)))]
     keys += [x, SparseVector.trusted(tuple(list(indices)), x.values)]
@@ -419,21 +424,71 @@ def shared_support_leaf(draw):
        st.lists(st.tuples(wide_vector, wide_vector, st.floats(0.0, 1.0)), max_size=8))
 def test_shared_support_leaf_scores_equal_the_per_pair_definitions(leaf, updates):
     x, keys = leaf
-    trained = ScorerModel()
+    trained, fitted = ScorerModel(), ScorerModel()
     for q, k, r in updates:
         trained.update(q, k, r)
+    # a small weight on every pair feature of x: scores stay inside (0, 1),
+    # where the clamp keeps every bit of the sum, and every term adds
+    fitted.set_entries([(PAIR_COSINE, 0.1, 0.0), (PAIR_DISTANCE, -0.1, 0.0), (PAIR_BIAS, 0.5, 0.0)]
+                       + [(i + PAIR_PRODUCT_OFFSET, 0.01 * math.sin(i + 1), 0.0) for i in x.indices])
     euclidean = ScorerModel(mode="euclidean")
     empty = SparseVector()
     stderr = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("error")  # numpy's RuntimeWarnings too
         for query, leaf_keys in ((x, keys), (empty, [empty, SparseVector.trusted((), ())])):
-            for f in (ScorerModel(), trained):  # untrained: every weight None
-                expected = [max(0.0, min(1.0, f.raw(pair_features(query, k)))) for k in leaf_keys]
+            shared = Leaf()  # read by every scorer in turn: each mode keeps its own block
+            for f in (ScorerModel(), trained, fitted, euclidean):  # untrained: every weight None
+                if f is euclidean:
+                    expected = [-l2_distance(query, k) for k in leaf_keys]
+                else:
+                    expected = [max(0.0, min(1.0, f.raw(pair_features(query, k)))) for k in leaf_keys]
                 assert f.predict(query, leaf_keys) == expected
-            assert euclidean.predict(query, leaf_keys) == [-l2_distance(query, k) for k in leaf_keys]
+                for cache in (Leaf(), shared):
+                    assert f.predict(query, leaf_keys, cache) == expected  # fills, or hits
+                    block = cache.block
+                    assert block is not None
+                    assert f.predict(query, list(leaf_keys), cache) == expected  # hits
+                    assert cache.block is block
         assert ScorerModel().predict(x, keys) == [0.0] * len(keys)
     assert stderr.getvalue() == ""
+
+
+@pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan, None])
+@pytest.mark.parametrize("feature", [PAIR_COSINE, PAIR_DISTANCE, PAIR_BIAS,
+                                     PAIR_PRODUCT_OFFSET, PAIR_PRODUCT_OFFSET + 1])
+@pytest.mark.parametrize("big", [1.0, 3e200])
+def test_a_missing_or_infinite_weight_still_skips_every_zero_feature(big, feature, w):
+    # the block pass adds w times a zero feature, a signed zero, only while w
+    # is finite, and a missing weight's 0.0 times a product only while the
+    # product is; inf or NaN times zero is NaN, so then each zero is left out
+    x = SparseVector.trusted((0, 1), (big, 1e-200))
+    keys = [
+        SparseVector.trusted((0, 1), x.values),  # distance 0.0
+        SparseVector.trusted((0, 1), (1e-200, -big)),  # cosine 0.0: the dot product cancels
+        SparseVector.trusted((0, 1), (1e-200, 1e-200)),  # norm 0.0; second product underflows
+        SparseVector.trusted((0, 1), (2e200, 2.0)),  # first product overflows when big does
+    ]
+    f = ScorerModel()
+    f.set_entries([(i, 0.1 if i != feature else w, 0.0)
+                   for i in (PAIR_COSINE, PAIR_DISTANCE, PAIR_BIAS,
+                             PAIR_PRODUCT_OFFSET, PAIR_PRODUCT_OFFSET + 1)
+                   if i != feature or w is not None])
+    expected = [max(0.0, min(1.0, f.raw(pair_features(x, k)))) for k in keys]
+    leaf = Leaf()
+    assert f.predict(x, keys) == f.predict(x, keys, leaf) == f.predict(x, keys, leaf) == expected
+
+
+def test_a_product_without_a_weight_is_left_out_even_when_it_overflows():
+    # a missing weight may not count as 0.0 there: 0.0 * inf is NaN, which
+    # the clamp would turn into a score of 1.0
+    x = SparseVector.trusted((0, 1), (1e154, 1.0))
+    keys = [SparseVector.trusted((0, 1), (2e200, 0.5)), SparseVector.trusted((0, 1), (1.0, 1.0))]
+    f = ScorerModel()
+    f.set_entries([(PAIR_BIAS, 0.25, 0.0), (PAIR_PRODUCT_OFFSET + 1, 0.5, 0.0)])
+    expected = [max(0.0, min(1.0, f.raw(pair_features(x, k)))) for k in keys]
+    assert expected == [0.5, 0.75]
+    assert f.predict(x, keys) == f.predict(x, keys, Leaf()) == expected
 
 
 def test_mixed_support_leaf_takes_the_per_key_path():

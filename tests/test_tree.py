@@ -1,6 +1,9 @@
 import math
+import os
 import random
 import sys
+import tempfile
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -8,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmt.features import SparseVector, fingerprint
-from cmt.learners import PAIR_BIAS, RouterModel, ScorerModel
+from cmt.learners import (
+    PAIR_BIAS,
+    PAIR_COSINE,
+    PAIR_DISTANCE,
+    PAIR_PRODUCT_OFFSET,
+    RouterModel,
+    ScorerModel,
+)
 from cmt.snapshot import snapshot_load_full, snapshot_save
 from cmt.tree import (
     LEFT,
@@ -290,13 +300,14 @@ def test_clamped_ties_do_not_favour_the_key_read():
 @pytest.mark.parametrize("mode", ["learned", "euclidean"])
 def test_top_k_predicts_once_per_read_with_the_leaf_keys(monkeypatch, mode):
     # the benchmark times leaf scoring through ScorerModel.predict by name,
-    # so a read must keep calling it: once, with the leaf's keys in stored order
+    # so a read must keep calling it: once, with the leaf's keys in stored
+    # order and the leaf itself, which keeps the block the call builds
     calls = []
     original = ScorerModel.predict
 
-    def counted(self, x, keys):
-        calls.append((x, list(keys)))
-        return original(self, x, keys)
+    def counted(self, x, keys, leaf=None):
+        calls.append((x, list(keys), leaf))
+        return original(self, x, keys, leaf)
 
     monkeypatch.setattr(ScorerModel, "predict", counted)
     memories = random_memories(7, seed=2)
@@ -310,6 +321,140 @@ def test_top_k_predicts_once_per_read_with_the_leaf_keys(monkeypatch, mode):
         assert calls[0][0] is x
         assert calls[0][1] == [z.x for z in leaf.mem]
         assert all(a is z.x for a, z in zip(calls[0][1], leaf.mem))
+        assert calls[0][2] is leaf
+
+
+SHARED_INDICES = tuple(range(12))
+
+
+def shared_key(rng, indices=SHARED_INDICES) -> SparseVector:
+    """A key on one index set shared by the whole store, so every leaf is
+    scored in one block and every read can fill or hit its leaf's block."""
+    return SparseVector.trusted(indices, tuple(rng.uniform(-2.0, 2.0) or 1.0 for _ in indices))
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from(["learned", "euclidean"]), st.integers(0, 2**32 - 1))
+def test_a_leaf_never_serves_a_stale_scoring_block(mode, seed):
+    # nothing that changes a leaf clears its block: the key-list check alone
+    # must keep every read equal to an uncached one, through splits,
+    # capacity drops, reroutes, updates and a snapshot round trip
+    rng = random.Random(seed)
+    t = Tree(c=2.0, d=1, scorer=ScorerModel(mode=mode), seed=seed % 1000)
+    probes = [shared_key(rng) for _ in range(3)] + [shared_key(rng, tuple(range(1, 13)))]
+    stored: dict[int, Memory] = {}
+    removed: list[SparseVector] = []
+    seen = {"split": False, "cap": 0}
+
+    def read_after(op):
+        assert t.check_invariants() == [], op
+        queries = probes + [z.x for z in list(stored.values())[:3]]
+        for x in queries:
+            t.query(x, 2, 0.0)  # fills, or hits, the block of the leaf it reads
+            leaf = path(x, t.root)
+            keys = [z.x for z in leaf.mem]
+            assert t.f.predict(x, keys, leaf) == t.f.predict(x, keys), op
+        for leaf in t.leaves():  # blocks left behind by earlier reads, too
+            keys = [z.x for z in leaf.mem]
+            for x in probes[:1] + keys[:1]:
+                assert t.f.predict(x, keys, leaf) == t.f.predict(x, keys), op
+        seen["split"] |= not t.root.is_leaf
+        seen["cap"] = max(seen["cap"], t.capacity())
+
+    def insert(x):
+        z = Memory(x, len(stored))
+        t.insert(z)
+        stored[z.key_fingerprint] = z
+
+    def remove():
+        z = stored.pop(rng.choice(sorted(stored)))
+        t.remove(z.x)
+        removed.append(z.x)
+
+    for _ in range(24):
+        insert(shared_key(rng))
+        read_after("insert")
+    for step in range(30):
+        op = rng.choice(["insert", "reinsert", "remove", "reroute", "update", "snapshot"])
+        if op == "insert":
+            insert(shared_key(rng))
+        elif op == "reinsert" and removed:  # an equal key, as a new object
+            x = removed.pop()
+            insert(SparseVector.trusted(x.indices, tuple(x.values)))
+        elif op == "remove" and stored:
+            remove()
+        elif op == "reroute":
+            t.reroute()
+        elif op == "update":
+            x = rng.choice(probes[:3])
+            res = t.query(x, 1, 1.0)
+            if res.memories:
+                t.update(x, res.memories[0], rng.random(), res.key)
+        elif op == "snapshot":
+            with tempfile.TemporaryDirectory() as tmp:
+                snap, again = os.path.join(tmp, "a.snap"), os.path.join(tmp, "b.snap")
+                snapshot_save(t, snap)
+                for x in probes:
+                    t.query(x, 1, 0.0)
+                snapshot_save(t, again)
+                with open(snap, "rb") as a, open(again, "rb") as b:
+                    assert a.read() == b.read()
+                t = snapshot_load_full(snap)[0]
+        read_after(op)
+    while len(stored) > 4:
+        remove()
+        read_after("remove")
+    assert seen["split"] and t.capacity() < seen["cap"]
+
+
+def test_concurrent_reads_filling_leaf_blocks_return_the_sequential_answers():
+    # epsilon=0 reads may run concurrently: each stores its leaf's block whole,
+    # in one attribute write, so however the threads interleave no read sees
+    # half of one; a fifth thread keeps dropping the blocks so reads refill them
+    rng = random.Random(61)
+    t = Tree(c=2.0, d=1, seed=61)
+    for i in range(80):
+        t.insert(Memory(shared_key(rng), i))
+    # weights on every pair feature, so that each score depends on the block
+    t.f.set_entries([(PAIR_COSINE, 0.3, 0.0), (PAIR_DISTANCE, -0.2, 0.0), (PAIR_BIAS, 0.5, 0.0)]
+                    + [(i + PAIR_PRODUCT_OFFSET, 0.01 * math.sin(i), 0.0) for i in SHARED_INDICES])
+    probes = [shared_key(rng) for _ in range(40)]
+    expected = [[z.value for z in t.query(x, 3, 0.0).memories] for x in probes]
+    leaves = list(t.leaves())
+    failures: list = []
+    stop = threading.Event()
+
+    def reader(offset):
+        try:
+            for _ in range(15):
+                for j in range(len(probes)):
+                    i = (j + offset) % len(probes)
+                    got = [z.value for z in t.query(probes[i], 3, 0.0).memories]
+                    if got != expected[i]:
+                        failures.append((i, got))
+        except Exception as exc:  # a thread's exception would otherwise pass unseen
+            failures.append(exc)
+
+    def dropper():
+        while not stop.is_set():
+            for leaf in leaves:
+                leaf.block = None  # as if never read
+
+    threads = [threading.Thread(target=reader, args=(10 * k,)) for k in range(4)]
+    drop = threading.Thread(target=dropper)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads + [drop]:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        stop.set()
+        drop.join(timeout=120)
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads + [drop])
+    assert failures == []
 
 
 def test_rand_k_empty_and_overlarge():
@@ -974,10 +1119,15 @@ def test_balance_bound_rejects_a_horizon_that_is_not_positive(T):
 
 
 @settings(max_examples=300)
-@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.01, 1.0),
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_min=True),
        st.floats(0.0, 1e12, exclude_min=True))
 def test_balance_bound_at_a_finite_horizon_is_never_below_the_limit(p, alpha, T):
-    limit = balance_bound(p, alpha, math.inf)
+    try:
+        limit = balance_bound(p, alpha, math.inf)
+    except ValueError:  # too large for a float: so is every finite-horizon bound
+        with pytest.raises(ValueError):
+            balance_bound(p, alpha, T)
+        return
     try:
         finite = balance_bound(p, alpha, T)
     except ValueError:  # vacuous at this horizon
