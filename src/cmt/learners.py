@@ -362,7 +362,7 @@ def _block_scores(x: SparseVector, keys, norms, weights: PairWeights) -> list[fl
         if w_cos is None or x_norm == 0.0:
             terms[0] = -0.0
         else:
-            sim = np.divide(_column_sums(products), np.multiply(norms, x_norm))
+            sim = _column_sums(products) / (x_norm * norms)
             np.multiply(sim, w_cos, out=terms[0])
             if not math.isfinite(w_cos):
                 terms[0, sim == 0.0] = -0.0
@@ -427,7 +427,7 @@ class ScorerModel(LinearModel):
         shared = self._shared_block(x, keys, leaf)
         if shared is not None:
             block, norms = shared
-            if norms is None:
+            if self.mode == SCORER_EUCLIDEAN:
                 return _block_distances(x, block)
             return _block_scores(x, block, norms, self._pair_weights(x))
         if self.mode == SCORER_EUCLIDEAN:
