@@ -51,13 +51,13 @@ class SparseVector:
     arguments apart from cheap validation, and :meth:`trusted` skips even
     that.
 
-    A vector caches its `fingerprint`, its `norm` and its values `array` the
-    first time each is asked for. The caches are only sound because a vector
-    never changes after it is built: code that rebinds `indices` or `values`
-    of a built vector breaks them.
+    A vector caches its `fingerprint` and its `norm` the first time each is
+    asked for; its values are held once, in the `values` tuple. The caches
+    are only sound because a vector never changes after it is built: code
+    that rebinds `indices` or `values` of a built vector breaks them.
     """
 
-    __slots__ = ("indices", "values", "_fingerprint", "_norm", "_array")
+    __slots__ = ("indices", "values", "_fingerprint", "_norm")
 
     def __init__(self, indices: tuple[int, ...] = (), values: tuple[float, ...] = ()):
         if len(indices) != len(values):
@@ -74,7 +74,6 @@ class SparseVector:
         self.values = tuple(float(v) for v in values)
         self._fingerprint = None
         self._norm = None
-        self._array = None
 
     @classmethod
     def trusted(cls, indices: tuple[int, ...], values: tuple[float, ...]) -> "SparseVector":
@@ -84,7 +83,6 @@ class SparseVector:
         vec.values = values
         vec._fingerprint = None
         vec._norm = None
-        vec._array = None
         return vec
 
     @classmethod
@@ -131,18 +129,6 @@ class SparseVector:
                 total += v * v
             n = self._norm = math.sqrt(total)
         return n
-
-    def array(self):
-        """The values as a read-only float64 numpy array, built on the first
-        call and cached. numpy is imported here, not when cmt is."""
-        a = self._array
-        if a is None:
-            import numpy as np
-
-            a = np.fromiter(self.values, np.float64, len(self.values))
-            a.setflags(write=False)
-            self._array = a
-        return a
 
     def to_bytes(self) -> bytes:
         """Canonical byte serialization: packed indices then packed values."""

@@ -15,19 +15,21 @@ found. Results are bit for bit those of two dicts keyed by feature index.
 `entries` and `set_entries` read and write a model's whole state.
 
 The scorer scores a whole leaf in one `predict` call. A leaf whose keys all
-share the query's index set is scored in one numpy pass over a block of
-their cached value arrays, each sum added in the order the per-key loops
-add it, so the scores match those loops bit for bit; any other leaf is
-scored one key at a time. The block, and for the learned score the keys'
-norms, depend on the keys alone: a tree leaf keeps the last ones built for
-it, and a read of a leaf whose keys have not changed reuses them. numpy is
-imported on first use, not with this module.
+share the query's index set is scored in one numpy pass over a (features x
+keys) block built from the keys' value tuples, each sum added down a key's
+column in the order the per-key loops add it, so the scores match those
+loops bit for bit; any other leaf is scored one key at a time. The block,
+and for the learned score the keys' norms, depend on the keys alone: a tree
+leaf keeps the last ones built for it, and a read of a leaf whose keys have
+not changed reuses them. numpy is imported on first use, not with this
+module.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import chain
 from typing import Optional
 
 from .features import SparseVector, l2_distance
@@ -279,30 +281,13 @@ def pair_features(x: SparseVector, key: SparseVector) -> SparseVector:
 PairWeights = tuple[float, Optional[float], Optional[float], Optional[float], list]
 
 
-def _value_block(keys: Sequence[SparseVector], order: str = "C"):
-    """The keys' cached value arrays as the rows of one (keys x features)
-    block; with order "F" its transpose is a C-ordered (features x keys) block."""
-    import numpy as np
-
-    return np.array([k.array() for k in keys], order=order)
-
-
-def _row_sums(block):
-    """Sums over the last axis, each added left to right as the per-key loops
-    add it: np.sum may add pairwise, a cumulative sum adds in order. Only the
-    sign of a zero sum can differ from a loop's, and no score keeps that sign."""
-    import numpy as np
-
-    if not block.shape[-1]:
-        return np.zeros(block.shape[:-1])
-    return np.add.accumulate(block, axis=-1)[..., -1]  # np.cumsum, minus its wrapper
-
-
 def _column_sums(a):
     """Sums over the first axis of a C-ordered 2-d array, each added in
-    order, as `_row_sums` adds a row. Across two or more columns
-    np.add.reduce adds row after row; a single column is one contiguous run,
-    which it would add pairwise."""
+    order, as the per-key loops add a key's terms. Across two or more
+    columns np.add.reduce adds row after row; a single column is one
+    contiguous run, which it would add pairwise. Only the sign of a zero sum
+    can differ from a loop's: a sum of squares is never -0.0, and the
+    learned score's clamp drops the sign."""
     import numpy as np
 
     if a.shape[1] > 1:
@@ -312,13 +297,15 @@ def _column_sums(a):
     return np.add.accumulate(a, axis=0)[-1]
 
 
-def _block_distances(x: SparseVector, block) -> list[float]:
-    """-l2_distance(x, key) for each row of `block`, a key on x's index set."""
+def _block_distances(x: SparseVector, keys) -> list[float]:
+    """-l2_distance(x, key) for each column of `keys`, a C-ordered
+    (features x keys) block of keys on x's index set."""
     import numpy as np
 
     with np.errstate(all="ignore"):  # overflow to inf, silent as Python floats are
-        diff = np.array(x.values, dtype=np.float64) - block
-        return np.negative(np.sqrt(_row_sums(diff * diff))).tolist()
+        diff = np.array(x.values, dtype=np.float64)[:, None] - keys
+        np.multiply(diff, diff, out=diff)
+        return np.negative(np.sqrt(_column_sums(diff))).tolist()
 
 
 def _cosine_norms(keys):
@@ -411,12 +398,11 @@ class ScorerModel(LinearModel):
         The euclidean score is -l2_distance(x, key).
 
         When every key has x's index set, as every synth and dense key has,
-        all keys are scored at once over a block of their cached value
-        arrays: (keys x features) for the euclidean score, (features x keys)
-        with the keys' norms for the learned one. Every sum is added in the
-        order the per-key loops add it, so the scores match those loops bit
-        for bit. Otherwise each key is scored on its own, through
-        `_pair_map` or `l2_distance`.
+        all keys are scored at once over one C-ordered (features x keys)
+        block of their values, with the keys' norms for the learned score.
+        Every sum runs down a key's column in the order the per-key loops
+        add it, so the scores match those loops bit for bit. Otherwise each
+        key is scored on its own, through `_pair_map` or `l2_distance`.
 
         `leaf`, when given, is an object with a `block` attribute (a tree
         `Leaf`) that keeps what this call builds, so that a later call with
@@ -453,14 +439,15 @@ class ScorerModel(LinearModel):
     def _shared_block(self, x: SparseVector, keys: Sequence[SparseVector], leaf):
         """(block, norms) when every key has x's index set, else None.
 
-        The learned score gets a (features x keys) block and the keys'
-        `_cosine_norms`; the euclidean score a (keys x features) block and
-        None. A leaf's `block` is a (keys, index tuple, block, norms) tuple,
-        or None, and is stored whole in one attribute write. It is reused
-        while x has its index tuple and the key list it was built from
-        equals `keys`: list equality tests identity first, and an equal key
-        has equal values. So a read of a leaf changed since rebuilds it, and
-        nothing that changes a leaf needs to clear it.
+        Both modes get one C-ordered (features x keys) block, built straight
+        from the keys' value tuples; the learned score also gets the keys'
+        `_cosine_norms`, the euclidean score None. A leaf's `block` is a
+        (keys, index tuple, block, norms) tuple, or None, and is stored whole
+        in one attribute write. It is reused while x has its index tuple and
+        the key list it was built from equals `keys`: list equality tests
+        identity first, and an equal key has equal values. So a read of a
+        leaf changed since rebuilds it, and nothing that changes a leaf needs
+        to clear it.
         """
         xi = x.indices
         learned = self.mode == SCORER_LEARNED
@@ -476,11 +463,12 @@ class ScorerModel(LinearModel):
                 if ki != xi:
                     return None
                 xi = ki  # later keys sharing this tuple pass on identity
-        if learned:
-            block = _value_block(keys, "F").T
-            norms = _cosine_norms(block)
-        else:
-            block, norms = _value_block(keys), None
+        import numpy as np
+
+        n, m = len(xi), len(keys)
+        block = np.fromiter(chain.from_iterable([k.values for k in keys]), np.float64, n * m)
+        block = block.reshape(m, n).T.copy()
+        norms = _cosine_norms(block) if learned else None
         if leaf is not None:
             leaf.block = (list(keys), xi, block, norms)
         return block, norms

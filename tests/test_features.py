@@ -266,17 +266,6 @@ def test_norm_equals_the_uncached_sum_on_every_call(a, b):
         assert v.norm() == math.sqrt(total)
 
 
-def test_value_array_is_cached_and_read_only():
-    v = sv({3: 1.5, 7: -2.0})
-    a = v.array()
-    assert a.tolist() == [1.5, -2.0] and a.dtype == "float64"
-    assert v.array() is a
-    with pytest.raises(ValueError):
-        a[0] = 0.0
-    assert v.array().tolist() == [1.5, -2.0]
-    assert SparseVector().array().shape == (0,)
-
-
 # -- line parsing --------------------------------------------------------------
 
 def test_parse_multiclass_line():

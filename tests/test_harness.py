@@ -749,6 +749,7 @@ def test_import_cmt_leaves_numpy_unloaded():
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -498,10 +498,11 @@ def test_mixed_support_leaf_takes_the_per_key_path():
     for k in keys:
         f.update(x, k, 0.75)
     expected = [max(0.0, min(1.0, f.raw(pair_features(x, k)))) for k in keys]
-    assert f.predict(x, keys) == expected
-    assert ScorerModel(mode="euclidean").predict(x, keys) == [-l2_distance(x, k) for k in keys]
-    # the block pass caches each key's value array; the per-key path builds none
-    assert all(k._array is None for k in keys)
+    leaf = Leaf()
+    assert f.predict(x, keys, leaf) == expected
+    assert ScorerModel(mode="euclidean").predict(x, keys, leaf) == [-l2_distance(x, k) for k in keys]
+    # the per-key path builds no block, so the leaf keeps none
+    assert leaf.block is None
 
 
 # -- slot lists: bit-identical to the dict-backed AdaGrad they replaced ----------------------
