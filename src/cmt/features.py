@@ -2,12 +2,15 @@
 
 Everything here is a pure function: the rest of the package builds on these
 primitives and relies on them being deterministic across runs and platforms.
+A vector holds its values once, as eight-byte floats in a `Values` array.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import sys
+from array import array
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Optional
@@ -43,23 +46,59 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+_BIG_ENDIAN = sys.byteorder == "big"
+_new_array = array.__new__
+
+
+class Values(array):
+    """A vector's values, each held once as an eight-byte float.
+
+    An `array('d')` that hashes as the tuple of its floats, so a vector and
+    its `(indices, values)` pair hash and compare as they would with a
+    tuple. A leaf's scoring block is read straight from these buffers. Like
+    the vector that holds it, a Values is never changed once built.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, values=()):
+        return _new_array(cls, "d", values)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+def values_from_bytes(data: bytes) -> Values:
+    """The Values packed little-endian in `data`, as `to_bytes` packs them.
+
+    No value passes through a Python float, and the result holds exactly
+    its values: reading bytes leaves room to grow, the copy does not.
+    """
+    values = _new_array(Values, "d", data)
+    if _BIG_ENDIAN:
+        values.byteswap()
+    return _new_array(Values, "d", values)
+
+
 class SparseVector:
-    """Immutable sparse vector stored as parallel (indices, values) tuples.
+    """Immutable sparse vector: an `indices` tuple and a parallel `Values`.
 
     Indices are strictly increasing, values are finite and nonzero. Use
     :meth:`from_pairs` for arbitrary input; the constructor trusts its
     arguments apart from cheap validation, and :meth:`trusted` skips even
-    that.
+    that. Every constructor stores the values as a `Values`.
 
     A vector caches its `fingerprint` and its `norm` the first time each is
-    asked for; its values are held once, in the `values` tuple. The caches
-    are only sound because a vector never changes after it is built: code
-    that rebinds `indices` or `values` of a built vector breaks them.
+    asked for; its values are held once, eight bytes each, in `values`. The
+    caches are only sound because a vector never changes after it is built:
+    code that rebinds or mutates `indices` or `values` of a built vector
+    breaks them.
     """
 
     __slots__ = ("indices", "values", "_fingerprint", "_norm")
 
-    def __init__(self, indices: tuple[int, ...] = (), values: tuple[float, ...] = ()):
+    def __init__(self, indices: tuple[int, ...] = (), values=()):
+        values = values if type(values) is Values else Values(values)
         if len(indices) != len(values):
             raise ValueError("indices and values must have equal length")
         prev = -1
@@ -71,16 +110,17 @@ class SparseVector:
             if v == 0.0 or not math.isfinite(v):
                 raise ValueError("values must be finite and nonzero")
         self.indices = tuple(indices)
-        self.values = tuple(float(v) for v in values)
+        self.values = values
         self._fingerprint = None
         self._norm = None
 
     @classmethod
-    def trusted(cls, indices: tuple[int, ...], values: tuple[float, ...]) -> "SparseVector":
-        """Wrap tuples already in canonical form, without checking them."""
+    def trusted(cls, indices: tuple[int, ...], values) -> "SparseVector":
+        """Wrap an index tuple and values already in canonical form, without
+        checking them; values that are not yet a `Values` become one."""
         vec = cls.__new__(cls)
         vec.indices = indices
-        vec.values = values
+        vec.values = values if type(values) is Values else Values(values)
         vec._fingerprint = None
         vec._norm = None
         return vec
@@ -92,7 +132,7 @@ class SparseVector:
         for i, v in pairs:
             acc[i] = acc.get(i, 0.0) + float(v)
         keys = sorted(i for i, v in acc.items() if v != 0.0)
-        vec = cls.trusted(tuple(keys), tuple([acc[i] for i in keys]))
+        vec = cls.trusted(tuple(keys), Values([acc[i] for i in keys]))
         if not all(map(math.isfinite, vec.values)):
             raise ValueError("values must be finite")
         return vec
@@ -131,9 +171,13 @@ class SparseVector:
         return n
 
     def to_bytes(self) -> bytes:
-        """Canonical byte serialization: packed indices then packed values."""
-        n = len(self.indices)
-        return struct.pack(f"<{n}q", *self.indices) + struct.pack(f"<{n}d", *self.values)
+        """Canonical byte serialization: packed indices then packed values,
+        both little-endian."""
+        values = self.values
+        if _BIG_ENDIAN:
+            values = Values(values)
+            values.byteswap()
+        return struct.pack(f"<{len(self.indices)}q", *self.indices) + values.tobytes()
 
 
 def fingerprint(v: SparseVector) -> int:
@@ -150,8 +194,8 @@ def fingerprint(v: SparseVector) -> int:
 
 def dot(a: SparseVector, b: SparseVector) -> float:
     """Inner product over the shared indices of two sparse vectors."""
-    ai, av = a.indices, a.values
-    bi, bv = b.indices, b.values
+    ai, av = a.indices, a.values.tolist()
+    bi, bv = b.indices, b.values.tolist()
     i = j = 0
     na, nb = len(ai), len(bi)
     total = 0.0
@@ -173,10 +217,11 @@ def l2_distance(a: SparseVector, b: SparseVector) -> float:
 
     One merge pass over both supports adds each square in index order, left
     to right, as `learners._pair_map` and the scorer's block pass sum the
-    distance.
+    distance. The values are indexed as lists: one `tolist` is cheaper than
+    a float made at every index of an array.
     """
-    ai, av = a.indices, a.values
-    bi, bv = b.indices, b.values
+    ai, av = a.indices, a.values.tolist()
+    bi, bv = b.indices, b.values.tolist()
     total = 0.0
     i = j = 0
     na, nb = len(ai), len(bi)

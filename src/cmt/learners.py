@@ -16,23 +16,22 @@ found. Results are bit for bit those of two dicts keyed by feature index.
 
 The scorer scores a whole leaf in one `predict` call. A leaf whose keys all
 share the query's index set is scored in one numpy pass over a (features x
-keys) block built from the keys' value tuples, each sum added down a key's
-column in the order the per-key loops add it, so the scores match those
-loops bit for bit; any other leaf is scored one key at a time. The block,
-and for the learned score the keys' norms, depend on the keys alone: a tree
-leaf keeps the last ones built for it, and a read of a leaf whose keys have
-not changed reuses them. numpy is imported on first use, not with this
-module.
+keys) block read straight from the keys' eight-byte value buffers, each sum
+added down a key's column in the order the per-key loops add it, so the
+scores match those loops bit for bit; any other leaf is scored one key at a
+time. The block, and for the learned score the keys' norms, depend on the
+keys alone: a tree leaf keeps the last ones built for it, and a read of a
+leaf whose keys have not changed reuses them. numpy is imported on first
+use, not with this module.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from itertools import chain
 from typing import Optional
 
-from .features import SparseVector, l2_distance
+from .features import SparseVector, Values, l2_distance
 
 # One global AdaGrad step size: per-feature adaptive steps let every router,
 # label scorer and the leaf scorer share it.
@@ -213,8 +212,8 @@ def _pair_map(
     """
     positions: list[int] = []
     products: list[float] = []
-    ai, av = x.indices, x.values
-    bi, bv = key.indices, key.values
+    ai, av = x.indices, x.values.tolist()  # indexed as lists, as in l2_distance
+    bi, bv = key.indices, key.values.tolist()
     i = j = 0
     na, nb = len(ai), len(bi)
     xk = dist_sq = 0.0
@@ -272,7 +271,7 @@ def pair_features(x: SparseVector, key: SparseVector) -> SparseVector:
     xi = x.indices
     indices.extend([xi[i] + PAIR_PRODUCT_OFFSET for i in positions])
     values.extend(products)
-    return SparseVector.trusted(tuple(indices), tuple(values))
+    return SparseVector.trusted(tuple(indices), Values(values))
 
 
 # What scoring any key against x needs of x alone: (||x||, cosine weight,
@@ -303,7 +302,7 @@ def _block_distances(x: SparseVector, keys) -> list[float]:
     import numpy as np
 
     with np.errstate(all="ignore"):  # overflow to inf, silent as Python floats are
-        diff = np.array(x.values, dtype=np.float64)[:, None] - keys
+        diff = np.frombuffer(x.values)[:, None] - keys
         np.multiply(diff, diff, out=diff)
         return np.negative(np.sqrt(_column_sums(diff))).tolist()
 
@@ -339,7 +338,7 @@ def _block_scores(x: SparseVector, keys, norms, weights: PairWeights) -> list[fl
 
     x_norm, w_cos, w_dist, w_bias, w_prod = weights
     n, m = keys.shape
-    a = np.array(x.values, dtype=np.float64)[:, None]
+    a = np.frombuffer(x.values)[:, None]  # x's own buffer: only read
     terms = np.empty((n + 3, m))
     products = terms[3:]
     with np.errstate(all="ignore"):  # overflow to inf and NaN, silent as Python floats are
@@ -439,15 +438,15 @@ class ScorerModel(LinearModel):
     def _shared_block(self, x: SparseVector, keys: Sequence[SparseVector], leaf):
         """(block, norms) when every key has x's index set, else None.
 
-        Both modes get one C-ordered (features x keys) block, built straight
-        from the keys' value tuples; the learned score also gets the keys'
-        `_cosine_norms`, the euclidean score None. A leaf's `block` is a
-        (keys, index tuple, block, norms) tuple, or None, and is stored whole
-        in one attribute write. It is reused while x has its index tuple and
-        the key list it was built from equals `keys`: list equality tests
-        identity first, and an equal key has equal values. So a read of a
-        leaf changed since rebuilds it, and nothing that changes a leaf needs
-        to clear it.
+        Both modes get one C-ordered (features x keys) block, copied from
+        the joined bytes of the keys' `Values`; the learned score also gets
+        the keys' `_cosine_norms`, the euclidean score None. A leaf's `block`
+        is a (keys, index tuple, block, norms) tuple, or None, and is stored
+        whole in one attribute write. It is reused while x has its index
+        tuple and the key list it was built from equals `keys`: list
+        equality tests identity first, and an equal key has equal values. So
+        a read of a leaf changed since rebuilds it; a removal clears it only
+        so that the removed key is freed at once.
         """
         xi = x.indices
         learned = self.mode == SCORER_LEARNED
@@ -466,8 +465,7 @@ class ScorerModel(LinearModel):
         import numpy as np
 
         n, m = len(xi), len(keys)
-        block = np.fromiter(chain.from_iterable([k.values for k in keys]), np.float64, n * m)
-        block = block.reshape(m, n).T.copy()
+        block = np.frombuffer(b"".join([k.values for k in keys])).reshape(m, n).T.copy()
         norms = _cosine_norms(block) if learned else None
         if leaf is not None:
             leaf.block = (list(keys), xi, block, norms)

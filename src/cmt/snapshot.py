@@ -19,7 +19,7 @@ import os
 import struct
 from typing import Optional
 
-from .features import MODES, SparseVector, check_bits
+from .features import MODES, SparseVector, check_bits, values_from_bytes
 from .learners import LinearModel, RouterModel, ScorerModel
 from .tree import Internal, Leaf, Memory, Node, Tree
 
@@ -89,11 +89,11 @@ def _pack_vector(v: SparseVector) -> bytes:
 
 def _read_vector(cur: _Cursor) -> SparseVector:
     (n,) = cur.unpack("<I")
-    packed = cur.unpack(f"<{n}q{n}d")  # inverse of to_bytes()
-    indices = packed[:n]
+    indices = cur.unpack(f"<{n}q")  # inverse of to_bytes()
     indices = cur.index_sets.setdefault(indices, indices)
+    (values,) = cur.unpack(f"<{8 * n}s")
     try:
-        return SparseVector(indices, packed[n:])
+        return SparseVector(indices, values_from_bytes(values))
     except ValueError as exc:
         raise SnapshotError(f"corrupt vector record: {exc}") from exc
 

@@ -16,7 +16,7 @@ from urllib.parse import parse_qsl, urlparse
 
 import numpy as np
 
-from .features import DEFAULT_BITS, SparseVector, feature_indices
+from .features import DEFAULT_BITS, SparseVector, Values, feature_indices, values_from_bytes
 from .tasks import MulticlassExample, MultilabelExample, RetrievalPair
 
 
@@ -26,8 +26,9 @@ def _hash_rows(prefix: str, rows: np.ndarray, bits: int) -> list[SparseVector]:
     Column j is the token named f"{prefix}{j}". Each column name is hashed
     once; colliding columns are summed in column order from 0.0, the same
     float additions `hash_features` makes for one row, and exact zeros are
-    dropped. Rows without zeros share one indices tuple. A non-finite sum
-    raises ValueError.
+    dropped. Rows without zeros share one indices tuple, and their values
+    are read from the row's float64 bytes. A non-finite sum raises
+    ValueError.
     """
     buckets = feature_indices([f"{prefix}{j}" for j in range(rows.shape[1])], bits)
     indices = tuple(sorted(set(buckets)))
@@ -38,13 +39,16 @@ def _hash_rows(prefix: str, rows: np.ndarray, bits: int) -> list[SparseVector]:
             acc[:, slot[index]] += rows[:, j]
     if not np.isfinite(acc).all():
         raise ValueError("values must be finite")
+    data = acc.astype("<f8", copy=False).tobytes()
+    width = 8 * len(indices)
     out = []
-    for values in acc.tolist():
-        if 0.0 in values:
+    for r, has_zero in enumerate((acc == 0.0).any(axis=1).tolist()):
+        if has_zero:
+            values = acc[r].tolist()
             vec = SparseVector.trusted(tuple(i for i, v in zip(indices, values) if v != 0.0),
-                                       tuple(v for v in values if v != 0.0))
+                                       Values([v for v in values if v != 0.0]))
         else:
-            vec = SparseVector.trusted(indices, tuple(values))
+            vec = SparseVector.trusted(indices, values_from_bytes(data[r * width:(r + 1) * width]))
         out.append(vec)
     return out
 

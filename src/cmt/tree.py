@@ -59,7 +59,9 @@ class Memory:
 class Leaf:
     """Memories in stored order. `block` is the scorer's cache of the value
     block its last block-scored read built; `ScorerModel.predict` checks it
-    against the leaf's keys, so nothing that changes `mem` has to clear it."""
+    against the leaf's keys, so a change to `mem` never serves a stale one.
+    A remove clears it anyway, so the block does not keep the removed key
+    alive."""
 
     __slots__ = ("parent", "mem", "block")
 
@@ -493,6 +495,7 @@ class Tree:
         for idx, m in enumerate(leaf.mem):
             if m.key_fingerprint == fp:
                 z = leaf.mem.pop(idx)
+                leaf.block = None
                 break
         else:
             raise AssertionError("key map points at a leaf that lacks the memory")

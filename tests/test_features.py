@@ -1,6 +1,7 @@
 import math
 import os
 import struct
+import sys
 import tempfile
 from hashlib import blake2b
 
@@ -12,6 +13,7 @@ from cmt.features import (
     LabeledLine,
     ParseError,
     SparseVector,
+    Values,
     cosine,
     dot,
     fingerprint,
@@ -20,10 +22,11 @@ from cmt.features import (
     l2_distance,
     parse_line,
     render_line,
+    values_from_bytes,
 )
 from cmt.learners import ScorerModel, pair_features
 from cmt.snapshot import snapshot_load_full, snapshot_save
-from cmt.synth import generate as synth_generate, random_keys
+from cmt.synth import _hash_rows, generate as synth_generate, random_keys
 from cmt.tree import Memory, Tree
 
 
@@ -107,7 +110,7 @@ def test_hash_features_empty():
 def test_hash_features_sums_repeated_names():
     v = hash_features([("a", 1.0), ("a", 2.0)], 20)
     assert v.indices == (fnv1a64(b"a") & (2**20 - 1),)
-    assert v.values == (3.0,)
+    assert tuple(v.values) == (3.0,)
 
 
 def test_hash_features_additive_collision():
@@ -115,7 +118,7 @@ def test_hash_features_additive_collision():
     assert fnv1a64(b"a") % 2 == fnv1a64(b"c") % 2 == 0
     v = hash_features([("a", 1.0), ("c", 1.0)], 1)
     assert v.indices == (0,)
-    assert v.values == (2.0,)
+    assert tuple(v.values) == (2.0,)
 
 
 def test_hash_features_bits_range():
@@ -144,7 +147,7 @@ def test_vector_rejects_nonfinite():
 def test_from_pairs_merges_and_sorts():
     v = SparseVector.from_pairs([(5, 1.0), (1, 2.0), (5, 0.5)])
     assert v.indices == (1, 5)
-    assert v.values == (2.0, 1.5)
+    assert tuple(v.values) == (2.0, 1.5)
 
 
 # dyadic values keep squares and sums exactly representable in float64
@@ -264,6 +267,75 @@ def test_norm_equals_the_uncached_sum_on_every_call(a, b):
             total += x * x
         assert v.norm() == math.sqrt(total)
         assert v.norm() == math.sqrt(total)
+
+
+# -- the value store -------------------------------------------------------------
+
+@given(vector_strategy)
+def test_to_bytes_packs_indices_then_values_little_endian(v):
+    n = len(v)
+    assert v.to_bytes() == struct.pack(f"<{n}q{n}d", *v.indices, *v.values)
+    assert values_from_bytes(v.to_bytes()[8 * n:]) == v.values
+
+
+def built_every_way(a: SparseVector, b: SparseVector) -> dict[str, SparseVector]:
+    """One vector from each constructor, the snapshot loader's copy of each
+    stored one included."""
+    import numpy as np
+
+    rows = np.array([list(a.values) + [0.0], [1.5] * (len(a) + 1)])
+    built = {
+        "init": SparseVector(a.indices, list(a.values)),
+        "init_tuple": SparseVector(a.indices, tuple(a.values)),
+        "trusted": SparseVector.trusted(a.indices, tuple(a.values)),
+        "from_pairs": SparseVector.from_pairs(zip(b.indices, b.values)),
+        "hash_features": hash_features([("f", 2.0), ("g", -0.5)], 20),
+        "pair_features": pair_features(a, b),
+        "hash_rows_zero": _hash_rows("f", rows, 20)[0],
+        "hash_rows": _hash_rows("f", rows, 20)[1],
+        "random_keys": random_keys(1, dim=16, seed=3)[0],
+        "empty": SparseVector(),
+    }
+    t = Tree(scorer=ScorerModel(mode="euclidean"), d=0)
+    stored = []
+    for v in built.values():
+        if v and not t.contains(v):
+            t.insert(Memory(v, 0))
+            stored.append(v)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.snap")
+        snapshot_save(t, path)
+        loaded = {fingerprint(z.x): z.x for z in snapshot_load_full(path)[0].memories()}
+    for i, v in enumerate(stored):
+        built[f"loaded_{i}"] = loaded[fingerprint(v)]
+    return built
+
+
+@settings(max_examples=40, deadline=None)
+@given(vector_strategy, vector_strategy)
+def test_every_constructor_holds_values_that_hash_and_compare_as_a_tuple(a, b):
+    for name, v in built_every_way(a, b).items():
+        assert type(v.values) is Values, name
+        plain = tuple(v.values)
+        assert v == SparseVector.trusted(v.indices, plain), name
+        assert hash(v) == hash((v.indices, plain)), name
+        assert hash(v.values) == hash(plain), name
+        # a vector's (indices, values) pair is a dict key an equal copy finds
+        assert {(v.indices, v.values): name}[(v.indices, Values(plain))] == name
+
+
+def test_sixteen_values_take_eight_bytes_each_and_no_spare_room():
+    a = random_keys(1, dim=16, seed=5)[0]
+    assert len(a) == 16
+    # getsizeof adds the garbage collector's header (16 bytes on CPython
+    # 3.11) to __sizeof__; the exact size is what an empty Values takes plus
+    # eight bytes a value, with no room left over to grow
+    empty = sys.getsizeof(Values())
+    sixteen = {name: v for name, v in built_every_way(a, a).items() if len(v) == 16}
+    assert {"init", "trusted", "from_pairs", "random_keys", "loaded_0"} <= set(sixteen)
+    for name, v in sixteen.items():
+        assert v.values.__sizeof__() <= 64 + 8 * 16, name
+        assert sys.getsizeof(v.values) == empty + 8 * 16, name
 
 
 # -- line parsing --------------------------------------------------------------

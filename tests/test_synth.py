@@ -57,7 +57,7 @@ def test_hash_rows_drops_zeros_and_shares_the_index_tuple():
     rows = np.array([[1.0, 2.0, 3.0], [0.0, -0.0, 4.0], [5.0, 6.0, 7.0], [0.0, 0.0, 0.0]])
     a, b, c, empty = synth._hash_rows("f", rows, 20)
     assert a.indices is c.indices
-    assert len(b) == 1 and b.values == (4.0,)
+    assert len(b) == 1 and tuple(b.values) == (4.0,)
     assert len(empty) == 0
 
 

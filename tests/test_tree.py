@@ -20,6 +20,7 @@ from cmt.learners import (
     ScorerModel,
 )
 from cmt.snapshot import snapshot_load_full, snapshot_save
+from cmt.synth import random_keys
 from cmt.tree import (
     LEFT,
     RIGHT,
@@ -336,9 +337,9 @@ def shared_key(rng, indices=SHARED_INDICES) -> SparseVector:
 @settings(max_examples=16, deadline=None)
 @given(st.sampled_from(["learned", "euclidean"]), st.integers(0, 2**32 - 1))
 def test_a_leaf_never_serves_a_stale_scoring_block(mode, seed):
-    # nothing that changes a leaf clears its block: the key-list check alone
-    # must keep every read equal to an uncached one, through splits,
-    # capacity drops, reroutes, updates and a snapshot round trip
+    # only a remove (and so a reroute) clears a leaf's block: the key-list
+    # check alone must keep every read equal to an uncached one, through
+    # inserts, splits, capacity drops, updates and a snapshot round trip
     rng = random.Random(seed)
     t = Tree(c=2.0, d=1, scorer=ScorerModel(mode=mode), seed=seed % 1000)
     probes = [shared_key(rng) for _ in range(3)] + [shared_key(rng, tuple(range(1, 13)))]
@@ -405,6 +406,23 @@ def test_a_leaf_never_serves_a_stale_scoring_block(mode, seed):
         remove()
         read_after("remove")
     assert seen["split"] and t.capacity() < seen["cap"]
+
+
+def test_a_remove_frees_the_removed_key_from_every_leaf_block():
+    keys = random_keys(2000, seed=23)
+    t = Tree(scorer=ScorerModel(mode="euclidean"), seed=23)
+    for i, x in enumerate(keys):
+        t.insert(Memory(x, i))
+    for leaf in t.leaves():  # a read's leaf scoring, which fills the leaf's block
+        t.top_k(leaf, leaf.mem[0].x, 1)
+        assert leaf.block is not None
+    removed = keys[::2]
+    for x in removed:
+        t.remove(x)
+    gone = {id(x) for x in removed}  # each still alive in `removed`, so no id is reused
+    held = [k for leaf in t.leaves() if leaf.block is not None for k in leaf.block[0]]
+    assert not [k for k in held if id(k) in gone]
+    assert t.check_invariants() == []
 
 
 def test_concurrent_reads_filling_leaf_blocks_return_the_sequential_answers():
