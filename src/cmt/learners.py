@@ -21,15 +21,21 @@ added down a key's column in the order the per-key loops add it, so the
 scores match those loops bit for bit; any other leaf is scored one key at a
 time. The block, and for the learned score the keys' norms, depend on the
 keys alone: a tree leaf keeps the last ones built for it, and a read of a
-leaf whose keys have not changed reuses them. numpy is imported on first
-use, not with this module.
+leaf whose keys have not changed reuses them. The learned pass works in one
+buffer: a single reduce gives every key's dot product and squared distance,
+and the score rows are written in place above them. What it needs of the
+scorer's weights for the query's index tuple (the cosine, distance and bias
+weights, and the product weights as a read-only column) is kept in one
+record until `update` or `set_entries` changes a weight, so a served tree
+looks its weights up once. numpy is imported on first use, not with this
+module.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import Optional
+from typing import Any, Optional
 
 from .features import SparseVector, Values, l2_distance
 
@@ -274,19 +280,19 @@ def pair_features(x: SparseVector, key: SparseVector) -> SparseVector:
     return SparseVector.trusted(tuple(indices), Values(values))
 
 
-# What scoring any key against x needs of x alone: (||x||, cosine weight,
-# distance weight, bias weight, product weights), the last aligned with
-# x.indices. A weight the model does not hold is None.
-PairWeights = tuple[float, Optional[float], Optional[float], Optional[float], list]
+# The scorer's weights of the pair features of a query on one index tuple:
+# (cosine weight, distance weight, bias weight, product weights), the last
+# aligned with the indices. A weight the model does not hold is None.
+PairWeights = tuple[Optional[float], Optional[float], Optional[float], list]
 
 
 def _column_sums(a):
-    """Sums over the first axis of a C-ordered 2-d array, each added in
-    order, as the per-key loops add a key's terms. Across two or more
-    columns np.add.reduce adds row after row; a single column is one
-    contiguous run, which it would add pairwise. Only the sign of a zero sum
-    can differ from a loop's: a sum of squares is never -0.0, and the
-    learned score's clamp drops the sign."""
+    """Sums over the first axis of a 2-d array whose rows are contiguous,
+    each added in order, as the per-key loops add a key's terms. Across two
+    or more columns np.add.reduce adds row after row; a single column is one
+    run, which it would add pairwise. Only the sign of a zero sum can differ
+    from a loop's: a sum of squares is never -0.0, and the learned score's
+    clamp drops the sign."""
     import numpy as np
 
     if a.shape[1] > 1:
@@ -323,53 +329,79 @@ def _cosine_norms(keys):
     return norms
 
 
-def _block_scores(x: SparseVector, keys, norms, weights: PairWeights) -> list[float]:
+# What `_block_scores` needs of the scorer for queries on one index tuple:
+# (index tuple, cosine weight, distance weight, bias weight, product column,
+# missing rows). The product column is a read-only (features x 1) array of
+# the product weights with 0.0 where the model holds none. Missing rows is
+# None unless some product weight is missing or not finite (the mask case);
+# then it is a read-only (features x 1) array, True where a weight is missing.
+BlockWeights = tuple[tuple[int, ...], Optional[float], Optional[float], Optional[float], Any, Any]
+
+
+def _block_scores(x: SparseVector, keys, norms, weights: BlockWeights) -> list[float]:
     """The learned score of each column of `keys`, a C-ordered (features x
     keys) block of keys on x's index set, whose `_cosine_norms` are `norms`.
 
-    `terms` holds one row per pair feature in the order raw(pair_features)
-    adds them: cosine, distance, bias, then the products, and each key's sum
-    runs down its column. The per-key loop leaves out a zero cosine,
-    distance or product; adding w times that zero, a signed zero, adds
-    nothing either, unless w is not finite. A feature without a weight holds
-    -0.0. So only a missing or non-finite weight needs a mask.
+    All the work runs in one C-ordered buffer of (features + 3) x (2 keys).
+    Its lower rows hold each key's products a*b in the first `keys` columns
+    and its squared differences (a-b)² beside them, so one reduce down the
+    rows gives every dot product and squared distance, each added row after
+    row as `_pair_map` adds it (2 keys >= 2 columns, so never the pairwise
+    one-column case). The top three rows of the first half then take the
+    cosine, distance and bias terms, the products are weighted in place,
+    and each key's score is the sum down its column of that
+    (features + 3) x keys half: the order raw(pair_features) adds them.
+
+    The per-key loop leaves out a zero cosine, distance or product; adding
+    w times that zero, a signed zero, adds nothing either, unless w is not
+    finite. A feature without a weight holds -0.0. So only a missing or
+    non-finite weight needs a mask.
     """
     import numpy as np
 
-    x_norm, w_cos, w_dist, w_bias, w_prod = weights
+    _, w_cos, w_dist, w_bias, column, missing = weights
+    x_norm = x.norm()
     n, m = keys.shape
     a = np.frombuffer(x.values)[:, None]  # x's own buffer: only read
-    terms = np.empty((n + 3, m))
-    products = terms[3:]
+    work = np.empty((n + 3, 2 * m))
+    lower = work[3:]
+    products, squares = lower[:, :m], lower[:, m:]
+    cos, dist, bias = work[0, :m], work[1, :m], work[2, :m]
     with np.errstate(all="ignore"):  # overflow to inf and NaN, silent as Python floats are
         np.multiply(keys, a, out=products)
-        diff = a - keys
-        np.multiply(diff, diff, out=diff)
+        np.subtract(a, keys, out=squares)
+        np.square(squares, out=squares)
+        sums = np.add.reduce(lower, axis=0)  # dot products, then squared distances
         if w_cos is None or x_norm == 0.0:
-            terms[0] = -0.0
+            cos[:] = -0.0
         else:
-            sim = _column_sums(products) / (x_norm * norms)
-            np.multiply(sim, w_cos, out=terms[0])
-            if not math.isfinite(w_cos):
-                terms[0, sim == 0.0] = -0.0
+            np.multiply(norms, x_norm, out=cos)
+            np.divide(sums[:m], cos, out=cos)
+            zero = None if math.isfinite(w_cos) else cos == 0.0
+            np.multiply(cos, w_cos, out=cos)
+            if zero is not None:
+                cos[zero] = -0.0
         if w_dist is None:
-            terms[1] = -0.0
+            dist[:] = -0.0
         else:
-            dist = np.sqrt(_column_sums(diff))
-            np.multiply(dist / (1.0 + dist), w_dist, out=terms[1])
+            d = np.sqrt(sums[m:], out=sums[m:])
+            np.add(d, 1.0, out=dist)
+            np.divide(d, dist, out=dist)
+            np.multiply(dist, w_dist, out=dist)
             if not math.isfinite(w_dist):
-                terms[1, dist == 0.0] = -0.0
-        terms[2] = -0.0 if w_bias is None else w_bias
-        skip = None
-        if None in w_prod or not all(map(math.isfinite, w_prod)):
+                dist[d == 0.0] = -0.0
+        bias[:] = -0.0 if w_bias is None else w_bias
+        if missing is not None:
             skip = products == 0.0  # an underflowed product is no feature
-            skip[[wi is None for wi in w_prod]] = True
-            w_prod = [0.0 if wi is None else wi for wi in w_prod]
-        np.multiply(products, np.array(w_prod)[:, None], out=products)
-        if skip is not None:
+            np.logical_or(skip, missing, out=skip)
+        np.multiply(products, column, out=products)
+        if missing is not None:
             products[skip] = -0.0
-        total = np.fmin(_column_sums(terms), 1.0)  # min(1.0, total): NaN gives 1.0
-        return np.where(total > 0.0, total, 0.0).tolist()
+        total = _column_sums(work[:, :m])
+        np.fmin(total, 1.0, out=total)  # min(1.0, total): NaN gives 1.0
+        np.maximum(total, 0.0, out=total)
+        total += 0.0  # max(0.0, total) is 0.0 for -0.0 too, whichever zero maximum kept
+        return total.tolist()
 
 
 class ScorerModel(LinearModel):
@@ -378,15 +410,22 @@ class ScorerModel(LinearModel):
     In "learned" mode this is a linear regressor over pair_features with
     predictions clamped to [0, 1]. In "euclidean" mode it is the fixed
     unsupervised score -||x - key||, and updates are ignored.
+
+    `_kept` is the `BlockWeights` record of the last index tuple a learned
+    block pass scored, or None, stored whole in one attribute write so a
+    concurrent reader never sees half of one. Its arrays are never written
+    after they are built. Only the two weight writes, `update` and
+    `set_entries`, drop it; a read builds it again at the weights then held.
     """
 
-    __slots__ = ("mode",)
+    __slots__ = ("mode", "_kept")
 
     def __init__(self, mode: str = SCORER_LEARNED):
         if mode not in (SCORER_LEARNED, SCORER_EUCLIDEAN):
             raise ValueError(f"unknown scorer mode {mode!r}")
         super().__init__()
         self.mode = mode
+        self._kept: Optional[BlockWeights] = None
 
     def predict(self, x: SparseVector, keys: Sequence[SparseVector], leaf=None) -> list[float]:
         """Score of returning each of `keys` for `x`, in the order given.
@@ -400,8 +439,13 @@ class ScorerModel(LinearModel):
         all keys are scored at once over one C-ordered (features x keys)
         block of their values, with the keys' norms for the learned score.
         Every sum runs down a key's column in the order the per-key loops
-        add it, so the scores match those loops bit for bit. Otherwise each
-        key is scored on its own, through `_pair_map` or `l2_distance`.
+        add it, so the scores match those loops bit for bit. The learned pass
+        (`_block_scores`) runs in one work buffer and reads the weights from
+        the scorer's kept record for x's index tuple, which it builds only
+        after a weight write or for another index tuple; a served tree's
+        weights never change, so its reads of one index set build it once.
+        Otherwise each key is scored on its own, through `_pair_map` or
+        `l2_distance`.
 
         `leaf`, when given, is an object with a `block` attribute (a tree
         `Leaf`) that keeps what this call builds, so that a later call with
@@ -414,10 +458,11 @@ class ScorerModel(LinearModel):
             block, norms = shared
             if self.mode == SCORER_EUCLIDEAN:
                 return _block_distances(x, block)
-            return _block_scores(x, block, norms, self._pair_weights(x))
+            return _block_scores(x, block, norms, self._block_weights(x.indices))
         if self.mode == SCORER_EUCLIDEAN:
             return [-l2_distance(x, k) for k in keys]
-        x_norm, w_cos, w_dist, w_bias, w_prod = self._pair_weights(x)
+        x_norm = x.norm()
+        w_cos, w_dist, w_bias, w_prod = self._pair_weights(x.indices)
         scores = []
         for key in keys:
             sim, dist, positions, products = _pair_map(x, key, x_norm)
@@ -471,13 +516,36 @@ class ScorerModel(LinearModel):
             leaf.block = (list(keys), xi, block, norms)
         return block, norms
 
-    def _pair_weights(self, x: SparseVector) -> PairWeights:
-        """What scoring any key against x needs of x alone, at the current weights."""
+    def _pair_weights(self, indices: tuple[int, ...]) -> PairWeights:
+        """The weights of the pair features of a query on `indices`, now."""
         get, w = self._slot.get, self._w
         features = (PAIR_COSINE, PAIR_DISTANCE, PAIR_BIAS,
-                    *[i + PAIR_PRODUCT_OFFSET for i in x.indices])
+                    *[i + PAIR_PRODUCT_OFFSET for i in indices])
         ws = [None if (s := get(i)) is None else w[s] for i in features]
-        return x.norm(), ws[0], ws[1], ws[2], ws[3:]
+        return ws[0], ws[1], ws[2], ws[3:]
+
+    def _block_weights(self, indices: tuple[int, ...]) -> BlockWeights:
+        """The kept record for `indices`, built and kept anew when the kept
+        one is for another index tuple or a weight write has dropped it."""
+        kept = self._kept
+        if kept is not None and (kept[0] is indices or kept[0] == indices):
+            return kept
+        import numpy as np
+
+        w_cos, w_dist, w_bias, w_prod = self._pair_weights(indices)
+        missing = None
+        if None in w_prod or not all(map(math.isfinite, w_prod)):
+            missing = np.array([wi is None for wi in w_prod], dtype=bool).reshape(-1, 1)
+            missing.flags.writeable = False
+            w_prod = [0.0 if wi is None else wi for wi in w_prod]
+        column = np.array(w_prod, dtype=float).reshape(-1, 1)
+        column.flags.writeable = False
+        kept = self._kept = (indices, w_cos, w_dist, w_bias, column, missing)
+        return kept
+
+    def set_entries(self, entries) -> None:
+        super().set_entries(entries)
+        self._kept = None
 
     def update(self, x: SparseVector, key: SparseVector, r: float) -> None:
         if not (0.0 <= r <= 1.0):
@@ -487,3 +555,4 @@ class ScorerModel(LinearModel):
         phi = pair_features(x, key)
         self.update_count += 1
         self._step(phi, self.raw(phi) - r)
+        self._kept = None

@@ -8,7 +8,10 @@ Linear models are stored as their two counters and sorted (index, weight,
 grad_sq) triples so a snapshot is a canonical byte encoding of its tree. A
 save writes a temporary file beside the target and moves it over the target
 only once it is complete. Loading a truncated, foreign or other-version
-file raises SnapshotError before any tree is returned.
+file raises SnapshotError before any tree is returned, and so does a record
+no save writes: a model's indices or a label set not strictly increasing,
+label scorers not in increasing label order, or a squared-gradient sum
+below 0.
 """
 
 from __future__ import annotations
@@ -76,10 +79,23 @@ def _pack_model(model: LinearModel) -> bytes:
     return head + b"".join(_TRIPLE.pack(*e) for e in entries)
 
 
+def _increasing(values) -> bool:
+    """Whether each value is above the one before it."""
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
 def _read_model(cur: _Cursor, model: LinearModel) -> LinearModel:
+    """Read a model record; raise SnapshotError unless it is one `_pack_model`
+    writes: indices strictly increasing and no squared-gradient sum below 0.
+    A NaN sum is kept, since overflowing steps reach it."""
     model.update_count, model.mistake_count, n = cur.unpack("<QQI")
     (triples,) = cur.unpack(f"<{_TRIPLE.size * n}s")
-    model.set_entries(_TRIPLE.iter_unpack(triples))
+    entries = list(_TRIPLE.iter_unpack(triples))
+    if not _increasing([i for i, _, _ in entries]):
+        raise SnapshotError("corrupt model record: indices not strictly increasing")
+    if any(g2 < 0.0 for _, _, g2 in entries):
+        raise SnapshotError("corrupt model record: a squared-gradient sum below 0")
+    model.set_entries(entries)
     return model
 
 
@@ -121,7 +137,10 @@ def _read_memory(cur: _Cursor) -> Memory:
         (value,) = cur.unpack("<q")
     elif tag == _VALUE_LABEL_SET:
         (n,) = cur.unpack("<I")
-        value = frozenset(cur.unpack(f"<{n}q"))
+        labels = cur.unpack(f"<{n}q")
+        if not _increasing(labels):
+            raise SnapshotError("corrupt label set: labels not strictly increasing")
+        value = frozenset(labels)
     elif tag == _VALUE_VECTOR:
         value = _read_vector(cur)
     else:
@@ -246,9 +265,13 @@ def snapshot_load_full(path: str) -> tuple[Tree, dict, dict[int, RouterModel]]:
     tree._adopt(_read_tree(cur))
     label_scorers: dict[int, RouterModel] = {}
     (count,) = cur.unpack("<I")
+    labels = []
     for _ in range(count):
         (label,) = cur.unpack("<q")
+        labels.append(label)
         label_scorers[label] = _read_model(cur, RouterModel())
+    if not _increasing(labels):
+        raise SnapshotError("corrupt label scorers: labels not strictly increasing")
     if cur.unpack(f"<{len(_END)}s")[0] != _END or cur.pos != len(data):
         raise SnapshotError("trailing or missing data after the tree")
     problems = tree.check_invariants()

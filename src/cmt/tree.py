@@ -264,10 +264,15 @@ class Tree:
         flip or a random sample of the leaf. k=None returns the whole leaf:
         in stored order and unscored on an exploit read, and with its pick
         first on an exploration read (the best-scored memory after a router
-        flip, a random one after a leaf sample).
+        flip, a random one after a leaf sample). A k that is not an int of at
+        least 1, or an epsilon outside [0, 1], raises TypeError or ValueError
+        before anything is drawn.
         """
-        if k is not None and k < 1:
-            raise ValueError("k must be >= 1 or None")
+        if k is not None:
+            if type(k) is not int:
+                raise TypeError("k must be an integer or None")
+            if k < 1:
+                raise ValueError("k must be >= 1 or None")
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         if not self.M:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import struct
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 import cmt
 from cmt.cli import main
 from cmt.features import MODES, SparseVector
-from cmt.learners import ScorerModel
+from cmt.learners import RouterModel, ScorerModel
 from cmt.runner import RunConfig, cmd_ablate, cmd_bench, cmd_test, cmd_train, load_dataset
+from cmt.snapshot import _TRIPLE as TRIPLE
 from cmt.snapshot import MAGIC, SnapshotError, snapshot_load_full, snapshot_save
 from cmt.synth import random_keys
 from cmt.tree import Memory, Tree
@@ -121,6 +123,63 @@ def test_snapshot_with_a_repeated_key_errors(tmp_path, monkeypatch):
     snapshot_save(t, str(snap))
     with pytest.raises(SnapshotError):
         snapshot_load_full(str(snap))
+
+
+def patched_snapshot(tmp_path, tree, old: bytes, new: bytes, label_scorers=None):
+    """A snapshot of `tree` with its one run of `old` bytes replaced by `new`."""
+    snap = tmp_path / "patched.snap"
+    snapshot_save(tree, str(snap), label_scorers=label_scorers)
+    data = snap.read_bytes()
+    assert data.count(old) == 1
+    snap.write_bytes(data.replace(old, new))
+    return snap
+
+
+def assert_refused(snap, match):
+    with pytest.raises(SnapshotError, match=match):
+        snapshot_load_full(str(snap))
+    assert main(["test", "--data", SYNTH_URIS["multiclass"], "--snapshot", str(snap)]) == 4
+
+
+@pytest.mark.parametrize("fault", ["repeated", "swapped"])
+def test_snapshot_refuses_model_indices_not_strictly_increasing(tmp_path, fault):
+    t = build_tree(50, seed=8)
+    (i0, w0, s0), (i1, w1, s1) = t.root.g.entries()[:2]
+    first, second = TRIPLE.pack(i0, w0, s0), TRIPLE.pack(i1, w1, s1)
+    if fault == "repeated":  # it would load as a model of 15 features, and resave shorter
+        old, new = second, TRIPLE.pack(i0, w1, s1)
+    else:
+        old, new = first + second, second + first
+    assert_refused(patched_snapshot(tmp_path, t, old, new), "indices not strictly increasing")
+
+
+def test_snapshot_refuses_a_negative_squared_gradient_sum_but_keeps_nan(tmp_path):
+    t = build_tree(50, seed=8)
+    i, w, g2 = t.root.g.entries()[0]
+    old = TRIPLE.pack(i, w, g2)
+    assert_refused(patched_snapshot(tmp_path, t, old, TRIPLE.pack(i, w, -5.0)),
+                   "squared-gradient sum below 0")
+    loaded = snapshot_load_full(str(patched_snapshot(tmp_path, t, old, TRIPLE.pack(i, w, math.nan))))
+    assert math.isnan(loaded[0].root.g.entries()[0][2])
+
+
+@pytest.mark.parametrize("fault", ["repeated", "swapped"])
+def test_snapshot_refuses_a_label_set_not_strictly_increasing(tmp_path, fault):
+    t = build_tree(20, seed=8)
+    x = random_keys(1, seed=99)[0]
+    t.insert(Memory(x, frozenset({123456789, 987654321})))
+    old = struct.pack("<BI2q", 1, 2, 123456789, 987654321)
+    new = struct.pack("<BI2q", 1, 2, *((123456789,) * 2 if fault == "repeated"
+                                       else (987654321, 123456789)))
+    assert_refused(patched_snapshot(tmp_path, t, old, new), "labels not strictly increasing")
+
+
+def test_snapshot_refuses_label_scorers_out_of_label_order(tmp_path):
+    t = build_tree(20, seed=8)
+    scorers = {123456789: RouterModel(), 987654321: RouterModel()}
+    old = struct.pack("<q", 987654321)
+    assert_refused(patched_snapshot(tmp_path, t, old, struct.pack("<q", 123456789), scorers),
+                   "label scorers: labels not strictly increasing")
 
 
 def header_span(data: bytes) -> tuple[int, int]:

@@ -454,6 +454,69 @@ def test_shared_support_leaf_scores_equal_the_per_pair_definitions(leaf, updates
     assert stderr.getvalue() == ""
 
 
+@st.composite
+def two_index_sets(draw):
+    """Two index tuples, the second an equal copy of the first or another
+    set, each with a leaf of keys on it."""
+    def indices():
+        return tuple(sorted(draw(st.sets(st.integers(0, 19), min_size=1, max_size=16))))
+
+    first = indices()
+    second = tuple(list(first)) if draw(st.booleans()) else indices()
+    return [(idx, [SparseVector.trusted(idx, draw(st.lists(arbitrary | value, min_size=len(idx),
+                                                           max_size=len(idx))))
+                   for _ in range(draw(st.integers(1, 4)))])
+            for idx in (first, second)]
+
+
+kept_weight_op = st.one_of(
+    st.tuples(st.just("read"), st.integers(0, 1), st.lists(arbitrary | value, min_size=16,
+                                                           max_size=16)),
+    st.tuples(st.just("update"), st.integers(0, 1), st.integers(0, 3), st.floats(0.0, 1.0)),
+    st.tuples(st.just("set"),
+              st.sampled_from([PAIR_COSINE, PAIR_DISTANCE, PAIR_BIAS])
+              | st.integers(PAIR_PRODUCT_OFFSET, PAIR_PRODUCT_OFFSET + 19),
+              st.sampled_from([math.inf, -math.inf, math.nan]) | st.floats(-1.0, 1.0)),
+)
+
+
+def bits(scores):
+    return [struct.pack("<d", s) for s in scores]
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_index_sets(), st.lists(kept_weight_op, min_size=1, max_size=20))
+def test_kept_pair_weights_never_go_stale(sets, ops):
+    # every weight starts missing; updates and set_weight then write finite,
+    # infinite and NaN weights between reads of the two index tuples
+    f = ScorerModel()
+    leaves = [Leaf(), Leaf()]
+    for op in ops:
+        if op[0] == "read":
+            _, which, values = op
+            idx, keys = sets[which]
+            x = SparseVector.trusted(idx, values[:len(idx)])
+            expected = [max(0.0, min(1.0, f.raw(pair_features(x, k)))) for k in keys]
+            assert bits(f.predict(x, keys, leaves[which])) == bits(expected)
+            assert bits(f.predict(x, keys)) == bits(expected)
+            kept = f._kept
+            assert kept[0] == idx
+            for array in kept[4:]:
+                if array is not None:
+                    assert not array.flags.writeable
+                    with pytest.raises(ValueError):
+                        array[0] = array[0]
+        else:
+            if op[0] == "update":
+                _, which, j, r = op
+                idx, keys = sets[which]
+                f.update(keys[j % len(keys)], keys[-1 - j % len(keys)], r)
+            else:
+                _, feature, w = op
+                set_weight(f, feature, w)
+            assert f._kept is None
+
+
 @pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan, None])
 @pytest.mark.parametrize("feature", [PAIR_COSINE, PAIR_DISTANCE, PAIR_BIAS,
                                      PAIR_PRODUCT_OFFSET, PAIR_PRODUCT_OFFSET + 1])

@@ -229,6 +229,20 @@ def test_query_validates_arguments():
         t.query(sv({1: 1.0}), 1, 1.5)
 
 
+def test_a_rejected_read_leaves_the_generator_alone():
+    t = Tree(d=0, seed=4)
+    for z in random_memories(30, seed=4):
+        t.insert(z)
+    x = random_memories(1, seed=5)[0].x
+    state = t.rng.getstate()
+    for k, epsilon, error in [(2.5, 1.0, TypeError), ("1", 1.0, TypeError),
+                              (True, 1.0, TypeError), (0, 1.0, ValueError),
+                              (-1, 1.0, ValueError), (1, 1.5, ValueError)]:
+        with pytest.raises(error):
+            t.query(x, k, epsilon)
+        assert t.rng.getstate() == state, (k, epsilon)
+
+
 # -- top_k / rand_k --------------------------------------------------------------
 
 def test_top_k_empty_leaf():
@@ -426,9 +440,10 @@ def test_a_remove_frees_the_removed_key_from_every_leaf_block():
 
 
 def test_concurrent_reads_filling_leaf_blocks_return_the_sequential_answers():
-    # epsilon=0 reads may run concurrently: each stores its leaf's block whole,
-    # in one attribute write, so however the threads interleave no read sees
-    # half of one; a fifth thread keeps dropping the blocks so reads refill them
+    # epsilon=0 reads may run concurrently: each stores its leaf's block, and
+    # the scorer's weight record, whole in one attribute write, so however the
+    # threads interleave no read sees half of one; a fifth thread keeps
+    # dropping both so reads refill them
     rng = random.Random(61)
     t = Tree(c=2.0, d=1, seed=61)
     for i in range(80):
@@ -455,6 +470,7 @@ def test_concurrent_reads_filling_leaf_blocks_return_the_sequential_answers():
 
     def dropper():
         while not stop.is_set():
+            t.f._kept = None  # as a weight write drops it
             for leaf in leaves:
                 leaf.block = None  # as if never read
 
