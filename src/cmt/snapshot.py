@@ -9,9 +9,9 @@ grad_sq) triples so a snapshot is a canonical byte encoding of its tree. A
 save writes a temporary file beside the target and moves it over the target
 only once it is complete. Loading a truncated, foreign or other-version
 file raises SnapshotError before any tree is returned, and so does a record
-no save writes: a model's indices or a label set not strictly increasing,
-label scorers not in increasing label order, or a squared-gradient sum
-below 0.
+no save writes: a model with more mistakes than updates, a model's
+indices or a label set not strictly increasing, label scorers not in
+increasing label order, or a squared-gradient sum below 0.
 """
 
 from __future__ import annotations
@@ -86,9 +86,12 @@ def _increasing(values) -> bool:
 
 def _read_model(cur: _Cursor, model: LinearModel) -> LinearModel:
     """Read a model record; raise SnapshotError unless it is one `_pack_model`
-    writes: indices strictly increasing and no squared-gradient sum below 0.
-    A NaN sum is kept, since overflowing steps reach it."""
+    writes: no more mistakes than updates, indices strictly increasing and
+    no squared-gradient sum below 0. A NaN sum is kept, since overflowing
+    steps reach it."""
     model.update_count, model.mistake_count, n = cur.unpack("<QQI")
+    if model.mistake_count > model.update_count:
+        raise SnapshotError("corrupt model record: more mistakes than updates")
     (triples,) = cur.unpack(f"<{_TRIPLE.size * n}s")
     entries = list(_TRIPLE.iter_unpack(triples))
     if not _increasing([i for i, _, _ in entries]):
@@ -176,13 +179,15 @@ def snapshot_save(
     tree: Tree,
     path: str,
     config: Optional[dict] = None,
-    label_scorers: Optional[dict[int, LinearModel]] = None,
+    label_scorers: Optional[dict] = None,
 ) -> None:
     """Persist a healthy tree (check_invariants must be clean).
 
     `config` holds the run settings a later test command reads back (its
     mode and hash width). `label_scorers` carries the one-against-some
-    inference models of a multilabel run so that command can reuse them.
+    inference models of a multilabel run so that command can reuse them:
+    label -> any model with `entries()`, `update_count` and
+    `mistake_count`, as `OASModel.scorers` holds.
     A save that fails leaves any earlier file at `path` as it was.
     """
     problems = tree.check_invariants()

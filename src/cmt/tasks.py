@@ -4,7 +4,10 @@ The multiclass loop predicts each example before learning from it. That is
 progressive validation only if no insert pass stored the key first: after
 one (the runner's default), a read may return the query's own memory. The
 multilabel loop pairs the tree with a one-against-some inference layer that
-only scores labels seen in the returned memories. The retrieval loop stores
+only scores labels seen in the returned memories. Its label scorers keep
+their weights in one shared pool, so one numpy pass scores every candidate
+label of a read, and one more steps them all, with the results of a
+`RouterModel` per label bit for bit. The retrieval loop stores
 (query, value) vector pairs and scores returns by cosine similarity. An
 exact linear-scan nearest-neighbor baseline serves as the reference point.
 """
@@ -13,9 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
+from struct import pack
 
 from .features import SparseVector, cosine, l2_distance
-from .learners import RouterModel
+from .learners import BASE_RATE, _column_sums, sigmoid
 from .tree import LeafExplore, Memory, Tree
 
 MODE_ONLINE = "online"
@@ -120,18 +125,157 @@ def mc_progressive_run(t: Tree, stream, epsilon: float, **step_kwargs):
     return (hits / total if total else 0.0), trace
 
 
-class OASModel:
-    """One-against-some inference over a lazily created scorer per label."""
+class _Pool:
+    """The weights and squared-gradient sums of every label of an `OASModel`.
+
+    Two flat float64 arrays, `w` and `g2`, addressed by cell. Cells
+    [1, size) belong to labels; cell 0 holds (0.0, 0.0) and is never
+    written, so a label reads it for a feature it does not hold. Both arrays
+    double when a claim outgrows them.
+    """
+
+    __slots__ = ("w", "g2", "size")
 
     def __init__(self):
-        self.scorers: dict[int, RouterModel] = {}
+        import numpy as np
+
+        self.w = np.zeros(256)
+        self.g2 = np.zeros(256)
+        self.size = 1
+
+    def claim(self, n: int) -> int:
+        """The first of n new consecutive cells, each holding (0.0, 0.0)."""
+        start = self.size
+        self.size = end = start + n
+        capacity = len(self.w)
+        if end > capacity:
+            while capacity < end:
+                capacity *= 2
+            import numpy as np
+
+            self.w = np.concatenate([self.w, np.zeros(capacity - len(self.w))])
+            self.g2 = np.concatenate([self.g2, np.zeros(capacity - len(self.g2))])
+        return start
+
+
+class _Label:
+    """One label's linear scorer, held in its model's `_Pool`.
+
+    `cells` maps a feature to its cell, made at (0.0, 0.0) by the label's
+    first step on it. `memo` is the (index tuple, cells) pair of the last
+    index tuple whose features all have cells, the cells packed as 8-byte
+    ints, stored whole in one attribute. `entries`, `update_count`
+    and `mistake_count` are what a snapshot saves of a `RouterModel`.
+    """
+
+    __slots__ = ("pool", "cells", "memo", "update_count", "mistake_count")
+
+    def __init__(self, pool: _Pool):
+        self.pool = pool
+        self.cells: dict[int, int] = {}
+        self.memo: tuple[tuple[int, ...], bytes] = ((), b"")
+        self.update_count = 0
+        self.mistake_count = 0
+
+    def entries(self) -> list[tuple[int, float, float]]:
+        """(index, weight, squared-gradient sum) of every feature, by index."""
+        held = sorted(self.cells.items())
+        cells = [c for _, c in held]
+        w, g2 = self.pool.w[cells].tolist(), self.pool.g2[cells].tolist()
+        return [(i, wi, gi) for (i, _), wi, gi in zip(held, w, g2)]
+
+    def read_cells(self, indices: tuple[int, ...], fmt: str) -> bytes:
+        """The cell of each index, 0 for one the label does not hold, packed by `fmt`."""
+        memo = self.memo
+        if memo[0] is indices or memo[0] == indices:
+            return memo[1]
+        get = self.cells.get
+        cells = [get(i, 0) for i in indices]
+        packed = pack(fmt, *cells)
+        if 0 not in cells:
+            self.memo = (indices, packed)
+        return packed
+
+    def step_cells(self, indices: tuple[int, ...], fmt: str) -> bytes:
+        """The cell of each index, packed by `fmt`, claiming cells for the
+        ones not held yet."""
+        memo = self.memo
+        if memo[0] is indices or memo[0] == indices:
+            return memo[1]
+        cells = self.cells
+        new = [i for i in indices if i not in cells]
+        if new:
+            cells.update(zip(new, count(self.pool.claim(len(new)))))
+        packed = pack(fmt, *map(cells.__getitem__, indices))
+        self.memo = (indices, packed)
+        return packed
+
+
+def _index(cells: list[bytes], n: int):
+    """The labels' cells for n features as a C-ordered (features x labels) index."""
+    import numpy as np
+
+    return np.frombuffer(b"".join(cells), dtype=np.int64).reshape(len(cells), n).T.copy()
+
+
+class OASModel:
+    """One-against-some inference over a lazily created scorer per label.
+
+    Each label is a logistic `RouterModel` step for step, but every label's
+    weights and squared-gradient sums live in one shared `_Pool`, so a read
+    scores all candidate labels, and a training step steps them all, in one
+    numpy pass over a C-ordered (features x labels) block. Each column is
+    summed in x's order by `_column_sums`, and each step is the router's
+    AdaGrad step in the router's order, so scores, predictions and stored
+    weights equal a per-label `RouterModel`'s bit for bit; only the sign of a
+    zero score can differ, and no prediction or step reads it.
+
+    `scorers` is the live mapping of label to its `_Label` record, whose
+    `entries`, `update_count` and `mistake_count` a snapshot saves.
+    Assigning a mapping of label to model (the `RouterModel`s a snapshot
+    load returns) copies those models into a new pool.
+    """
+
+    def __init__(self):
+        self._pool = _Pool()
+        self._labels: dict[int, _Label] = {}
+
+    @property
+    def scorers(self) -> dict[int, _Label]:
+        return self._labels
+
+    @scorers.setter
+    def scorers(self, models) -> None:
+        pool, labels = _Pool(), {}
+        for label, model in models.items():
+            entries = model.entries()
+            record = labels[label] = _Label(pool)
+            start = pool.claim(len(entries))
+            record.cells = {i: start + k for k, (i, _, _) in enumerate(entries)}
+            pool.w[start:pool.size] = [w for _, w, _ in entries]
+            pool.g2[start:pool.size] = [g2 for _, _, g2 in entries]
+            record.update_count = model.update_count
+            record.mistake_count = model.mistake_count
+        self._pool, self._labels = pool, labels
 
     def scores(self, candidates, x: SparseVector) -> dict[int, float]:
-        """Each candidate label's raw score for x; a label without a scorer scores 0.0."""
-        scorers = self.scorers
-        return {
-            label: scorers[label].raw(x) if label in scorers else 0.0 for label in candidates
-        }
+        """Each candidate label's raw score for x; a label without a scorer scores 0.0.
+
+        A label's score is the sum of w_i * x_i over x's indices in x's
+        order, a feature it does not hold reading cell 0's weight 0.0.
+        """
+        scores = dict.fromkeys(candidates, 0.0)
+        labels = self._labels
+        held = [label for label in scores if label in labels]
+        if held:
+            import numpy as np
+
+            idx = x.indices
+            fmt = f"{len(idx)}q"
+            index = _index([labels[label].read_cells(idx, fmt) for label in held], len(idx))
+            column = np.frombuffer(x.values)[:, None]
+            scores.update(zip(held, _column_sums(self._pool.w[index] * column).tolist()))
+        return scores
 
     def predict(self, scores: dict[int, float]) -> set[int]:
         """The labels of `scores`, from `self.scores`, that score above 0."""
@@ -141,14 +285,38 @@ class OASModel:
         """One logistic step per label of `scores` toward its membership in `truth`.
 
         `scores` is `self.scores(candidates, x)` before the step: each label
-        has its own scorer, so one label's step leaves the others' scores as
-        they were.
+        has its own weights, so one label's step leaves the others' scores
+        as they were. Labels and features met for the first time get cells
+        first; then every label takes `RouterModel.update`'s step at
+        importance 1 at once, and its mistake count compares the score after
+        the step with its membership.
         """
-        for label in sorted(scores):
-            scorer = self.scorers.get(label)
-            if scorer is None:
-                scorer = self.scorers[label] = RouterModel()
-            scorer.update(x, 1 if label in truth else -1, 1.0, scores[label])
+        import numpy as np
+
+        labels, pool = self._labels, self._pool
+        idx = x.indices
+        fmt = f"{len(idx)}q"
+        records, ys, cells, grads = [], [], [], []
+        for label, score in scores.items():
+            record = labels.get(label)
+            if record is None:
+                record = labels[label] = _Label(pool)
+            y = 1 if label in truth else -1
+            records.append(record)
+            ys.append(y)
+            cells.append(record.step_cells(idx, fmt))
+            grads.append(-1.0 * y * sigmoid(-y * score))
+        index = _index(cells, len(idx))
+        column = np.frombuffer(x.values)[:, None]
+        g = np.multiply(grads, column)
+        acc = pool.g2[index] + g * g
+        w = pool.w[index] - BASE_RATE / np.sqrt(acc + 1.0) * g
+        pool.g2[index] = acc
+        pool.w[index] = w
+        for record, y, score in zip(records, ys, _column_sums(w * column).tolist()):
+            record.update_count += 1
+            if (score > 0.0) != (y > 0):
+                record.mistake_count += 1
 
 
 def oas_step(

@@ -182,6 +182,25 @@ def test_snapshot_refuses_label_scorers_out_of_label_order(tmp_path):
                    "label scorers: labels not strictly increasing")
 
 
+def test_snapshot_refuses_a_router_with_more_mistakes_than_updates(tmp_path):
+    t = build_tree(50, seed=8)
+    g = t.root.g
+    head = struct.pack("<BQ", 1, t.root.n)
+    old = head + struct.pack("<QQI", g.update_count, g.mistake_count, len(g.entries()))
+    new = head + struct.pack("<QQI", g.update_count, g.update_count + 1, len(g.entries()))
+    assert_refused(patched_snapshot(tmp_path, t, old, new), "more mistakes than updates")
+
+
+def test_snapshot_refuses_a_label_scorer_with_more_mistakes_than_updates(tmp_path):
+    t = build_tree(20, seed=8)
+    scorer = RouterModel()
+    scorer.update_count, scorer.mistake_count = 3, 1
+    old = struct.pack("<qQQI", 123456789, 3, 1, 0)
+    new = struct.pack("<qQQI", 123456789, 3, 4, 0)
+    assert_refused(patched_snapshot(tmp_path, t, old, new, {123456789: scorer}),
+                   "more mistakes than updates")
+
+
 def header_span(data: bytes) -> tuple[int, int]:
     """Start and end offsets of a snapshot's JSON header."""
     start = len(MAGIC) + 8

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmt.features import MODE_MULTICLASS, MODE_MULTILABEL, MODE_RETRIEVAL, SparseVector, l2_distance
-from cmt.learners import SCORER_LEARNED, RouterModel, ScorerModel
+from cmt.learners import SCORER_LEARNED, ScorerModel
 from cmt.runner import RunConfig, fit, make_task
-from cmt.snapshot import snapshot_save
+from cmt.snapshot import _pack_model, snapshot_load_full, snapshot_save
 from cmt.tasks import (
     MulticlassExample,
     MultilabelExample,
@@ -22,6 +24,7 @@ from cmt.tasks import (
 )
 from cmt.tree import Memory, Tree
 from cmt.synth import multiclass_clusters, multilabel_topics, retrieval_corpus
+from helpers import PerLabelOAS
 
 
 def sv(mapping):
@@ -174,14 +177,13 @@ def test_oas_step_scores_each_label_once(monkeypatch):
     for ex in train[:60]:
         oas_step(t, oas, ex, train=True, epsilon=0.1)
     scored = []
-    raw = RouterModel.raw
+    scores = OASModel.scores
 
-    def counting_raw(self, x):
-        if self in oas.scorers.values():
-            scored.append(self)
-        return raw(self, x)
+    def counting_scores(self, candidates, x):
+        scored.extend(label for label in candidates if label in self.scorers)
+        return scores(self, candidates, x)
 
-    monkeypatch.setattr(RouterModel, "raw", counting_raw)
+    monkeypatch.setattr(OASModel, "scores", counting_scores)
     for ex in train[60:]:
         before = len(scored)
         _, candidates = oas_step(t, oas, ex, train=True, epsilon=0.1)
@@ -235,6 +237,65 @@ def test_oas_test_read_matches_the_ranked_capacity_query(seed, sparse):
         oas_step(t, oas, ex, train=True, epsilon=0.1)
     for ex in test:
         assert oas_step(t, oas, ex, train=False) == ranked_oas_read(t, oas, ex.x)
+
+
+FEATURE_VALUES = st.floats(-8.0, 8.0, allow_nan=False).filter(bool)
+
+
+@st.composite
+def oas_rounds(draw, support: str):
+    """Rounds of (x, candidate labels, true labels, whether to train). The
+    keys share one index tuple, drop each entry of it with p = 1/2 (as
+    `sparse_examples` does), or are empty."""
+    size = 0 if support == "empty" else draw(st.integers(1, 12), label="features")
+    indices = tuple(sorted(draw(st.sets(st.integers(0, 2**20), min_size=size, max_size=size))))
+    rng = draw(st.randoms(use_true_random=False))
+    rounds = []
+    for _ in range(draw(st.integers(1, 20), label="rounds")):
+        kept = tuple(i for i in indices if rng.random() < 0.5) if support == "mixed" else indices
+        x = SparseVector(kept, [draw(FEATURE_VALUES) for _ in kept])
+        candidates = draw(st.sets(st.integers(0, 9), min_size=1, max_size=6))
+        truth = draw(st.frozensets(st.integers(0, 9), max_size=4))
+        rounds.append((x, candidates, truth, draw(st.booleans())))
+    return rounds
+
+
+@pytest.mark.parametrize("support", ["shared", "mixed", "empty"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pooled_oas_equals_the_per_label_reference(support, data):
+    oas, reference = OASModel(), PerLabelOAS()
+    for x, candidates, truth, train in data.draw(oas_rounds(support)):
+        scores, expected = oas.scores(candidates, x), reference.scores(candidates, x)
+        assert scores == expected  # only the sign of a zero may differ
+        assert oas.predict(scores) == reference.predict(expected)
+        if train:
+            oas.update(x, truth, scores)
+            reference.update(x, truth, expected)
+        assert oas.scorers.keys() == reference.scorers.keys()
+        for label, model in reference.scorers.items():  # weights, sums and counts, bit for bit
+            assert _pack_model(oas.scorers[label]) == _pack_model(model)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["synth", "sparse"])
+def test_assigned_scorers_adopt_a_loaded_snapshot(tmp_path, sparse):
+    train, test = multilabel_topics(examples=200, labels=24, test_examples=60, seed=7)
+    if sparse:
+        train, test = sparse_examples(train, 7), sparse_examples(test, 107)
+    t = Tree(seed=7, d=1)
+    oas = OASModel()
+    for ex in train:
+        oas_step(t, oas, ex, train=True, epsilon=0.1)
+    saved = tmp_path / "trained.snap"
+    snapshot_save(t, str(saved), label_scorers=oas.scorers)
+    served, _, scorers = snapshot_load_full(str(saved))
+    served_oas = OASModel()
+    served_oas.scorers = dict(scorers)
+    resaved = tmp_path / "served.snap"
+    snapshot_save(served, str(resaved), label_scorers=served_oas.scorers)
+    assert resaved.read_bytes() == saved.read_bytes()
+    for ex in test:
+        assert oas_step(served, served_oas, ex, train=False) == oas_step(t, oas, ex, train=False)
 
 
 READ_PASS_DATA = {
