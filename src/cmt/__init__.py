@@ -16,8 +16,6 @@ from .features import (
     hash_features,
     l2_distance,
     parse_line,
-    render_line,
-    LabeledLine,
     ParseError,
 )
 from .learners import RouterModel, ScorerModel, pair_features
@@ -55,7 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SparseVector", "cosine", "dot", "fingerprint", "fnv1a64", "hash_features",
-    "l2_distance", "parse_line", "render_line", "LabeledLine", "ParseError",
+    "l2_distance", "parse_line", "ParseError",
     "RouterModel", "ScorerModel", "pair_features",
     "SnapshotError", "snapshot_load_full", "snapshot_save",
     "MulticlassExample", "MultilabelExample", "OASModel", "RetrievalPair",

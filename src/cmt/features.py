@@ -3,6 +3,9 @@
 Everything here is a pure function: the rest of the package builds on these
 primitives and relies on them being deterministic across runs and platforms.
 A vector holds its values once, as eight-byte floats in a `Values` array.
+A dataset line parses straight into the example type of its mode, defined
+here beside the parser: the tasks consume these examples, and the synthetic
+generators produce them.
 """
 
 from __future__ import annotations
@@ -11,9 +14,8 @@ import math
 import struct
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Optional
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -286,33 +288,21 @@ def hash_features(tokens, bits: int = DEFAULT_BITS) -> SparseVector:
 
 
 @dataclass(frozen=True)
-class LabeledLine:
-    """One parsed dataset line.
+class MulticlassExample:
+    x: SparseVector
+    label: int
 
-    `left_tokens` keeps the raw token strings of the left block (labels for
-    the classification modes, feature tokens for retrieval); `right_tokens`
-    the raw feature tokens of the right block. `right_block` is the hashed
-    form of the right block, and `left_block` that of a retrieval line's
-    left block (None in the other modes).
-    """
 
-    mode: str
-    left_tokens: tuple[str, ...]
-    right_tokens: tuple[str, ...]
-    right_block: SparseVector = field(compare=False)
-    left_block: Optional[SparseVector] = field(default=None, compare=False)
+@dataclass(frozen=True)
+class MultilabelExample:
+    x: SparseVector
+    labels: frozenset[int]
 
-    @property
-    def label(self) -> int:
-        if self.mode != MODE_MULTICLASS:
-            raise ValueError("label is only defined for multiclass lines")
-        return int(self.left_tokens[0])
 
-    @property
-    def labels(self) -> frozenset[int]:
-        if self.mode == MODE_RETRIEVAL:
-            raise ValueError("labels are not defined for retrieval lines")
-        return frozenset(int(t) for t in self.left_tokens)
+@dataclass(frozen=True)
+class RetrievalPair:
+    x: SparseVector
+    value: SparseVector
 
 
 def _split_token(token: str, lineno: int) -> tuple[str, float]:
@@ -338,16 +328,21 @@ def _hash_pairs(pairs: list[tuple[str, float]], bits: int, lineno: int) -> Spars
         raise ParseError(f"colliding feature values overflow: {exc}", lineno) from None
 
 
-def _parse_features(block: str, lineno: int) -> tuple[tuple[str, ...], list[tuple[str, float]]]:
-    """The raw tokens of a feature block and their validated (name, value) pairs."""
-    tokens = tuple(block.split(" "))
+def _parse_features(block: str, lineno: int) -> list[tuple[str, float]]:
+    """The validated (name, value) pairs of a feature block."""
+    tokens = block.split(" ")
     if not block or any(not t for t in tokens):
         raise ParseError("empty feature token (check spacing)", lineno)
-    return tokens, [_split_token(t, lineno) for t in tokens]
+    return [_split_token(t, lineno) for t in tokens]
 
 
-def parse_line(text: str, mode: str, bits: int = DEFAULT_BITS, lineno: int = 0) -> LabeledLine:
-    """Parse one dataset line. The grammar is `LEFT ' ' '|' ' ' FEATURES`."""
+def parse_line(
+    text: str, mode: str, bits: int = DEFAULT_BITS, lineno: int = 0
+) -> MulticlassExample | MultilabelExample | RetrievalPair:
+    """Parse one dataset line into its mode's example: a `MulticlassExample`,
+    `MultilabelExample` or `RetrievalPair`. The grammar is
+    `LEFT ' ' '|' ' ' FEATURES`; the features are the example's `x`, but a
+    retrieval line's left block is its query `x` and FEATURES its value."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if text.count("|") != 1:
@@ -357,30 +352,23 @@ def parse_line(text: str, mode: str, bits: int = DEFAULT_BITS, lineno: int = 0) 
         raise ParseError("separator must be surrounded by single spaces", lineno)
     left, right = left[:-1], right[1:]
 
-    right_tokens, right_pairs = _parse_features(right, lineno)
+    right_pairs = _parse_features(right, lineno)
 
-    left_block = None
     if mode == MODE_MULTICLASS:
         if not _is_label(left):
             raise ParseError(f"bad multiclass label {left!r}", lineno)
-        left_tokens = (left,)
-    elif mode == MODE_MULTILABEL:
-        left_tokens = tuple(left.split(","))
-        if not all(_is_label(t) for t in left_tokens):
+        return MulticlassExample(_hash_pairs(right_pairs, bits, lineno), int(left))
+    if mode == MODE_MULTILABEL:
+        labels = left.split(",")
+        if not all(_is_label(t) for t in labels):
             raise ParseError(f"bad multilabel block {left!r}", lineno)
-    else:
-        left_tokens, left_pairs = _parse_features(left, lineno)
-        left_block = _hash_pairs(left_pairs, bits, lineno)
-
-    right_block = _hash_pairs(right_pairs, bits, lineno)
-    if mode == MODE_RETRIEVAL and not right_block:
+        return MultilabelExample(_hash_pairs(right_pairs, bits, lineno),
+                                 frozenset(int(t) for t in labels))
+    query = _hash_pairs(_parse_features(left, lineno), bits, lineno)
+    value = _hash_pairs(right_pairs, bits, lineno)
+    if not value:
         raise ParseError("retrieval value vector must be nonzero", lineno)
-    return LabeledLine(mode, left_tokens, right_tokens, right_block, left_block)
-
-
-def render_line(line: LabeledLine) -> str:
-    """Inverse of parse_line over the raw tokens."""
-    return f"{' '.join(line.left_tokens) if line.mode == MODE_RETRIEVAL else ','.join(line.left_tokens)} | {' '.join(line.right_tokens)}"
+    return RetrievalPair(query, value)
 
 
 def _is_label(s: str) -> bool:

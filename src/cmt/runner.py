@@ -117,9 +117,10 @@ class MetricLog:
 
 
 class Task:
-    """Everything that differs by mode: the example grammar, the memory an
-    example becomes, one supervised pass, one epsilon=0 evaluation step and
-    the metric rows both produce.
+    """Everything that differs by mode once a line or a generator has made
+    its example (see `features.parse_line`): the memory an example becomes,
+    one supervised pass, one epsilon=0 evaluation step and the metric rows
+    both produce.
     """
 
     # (test metric, ablate column) pairs reported by `cmd_ablate`
@@ -132,9 +133,6 @@ class Task:
 
 class MulticlassTask(Task):
     ablate_columns = (("accuracy", "test_accuracy"), ("error_percent", "test_error_percent"))
-
-    def example(self, line) -> MulticlassExample:
-        return MulticlassExample(line.right_block, line.label)
 
     def memory(self, ex: MulticlassExample) -> Memory:
         return Memory(ex.x, ex.label)
@@ -177,9 +175,6 @@ class MultilabelTask(Task):
         self.oas.scorers = dict(label_scorers or {})
         self.label_scorers = self.oas.scorers
 
-    def example(self, line) -> MultilabelExample:
-        return MultilabelExample(line.right_block, line.labels)
-
     def memory(self, ex: MultilabelExample) -> Memory:
         return Memory(ex.x, ex.labels)
 
@@ -207,9 +202,6 @@ class MultilabelTask(Task):
 
 class RetrievalTask(Task):
     ablate_columns = (("mean_cosine", "mean_cosine"),)
-
-    def example(self, line) -> RetrievalPair:
-        return RetrievalPair(line.left_block, line.right_block)
 
     def memory(self, ex: RetrievalPair) -> Memory:
         return Memory(ex.x, ex.value)
@@ -265,14 +257,12 @@ def load_dataset(config: RunConfig):
         text = Path(config.data).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {config.data!r}: {exc}") from exc
-    task = make_task(config)
     examples = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
-            line = parse_line(raw, config.mode, bits=config.hash_bits, lineno=lineno)
+            examples.append(parse_line(raw, config.mode, bits=config.hash_bits, lineno=lineno))
         except ParseError as exc:
             raise DataError(f"{config.data}: {exc}") from exc
-        examples.append(task.example(line))
     return examples, []
 
 

@@ -7,7 +7,9 @@ are `f0`..`f{dim-1}` (`q`/`v` for retrieval queries and values); they are
 hashed once per split, and every vector of a split shares one index set,
 less the entries of a row that are exactly zero. Generators are also
 reachable from the CLI through `synth:` data URIs, e.g.
-`synth:multiclass?classes=100&shots=3&noise=0.1`.
+`synth:multiclass?classes=100&shots=3&noise=0.1`. A generator returns the
+same example types a parsed dataset line becomes (see `features`), and this
+module builds on `features` alone.
 """
 
 from __future__ import annotations
@@ -16,8 +18,16 @@ from urllib.parse import parse_qsl, urlparse
 
 import numpy as np
 
-from .features import DEFAULT_BITS, SparseVector, Values, feature_indices, values_from_bytes
-from .tasks import MulticlassExample, MultilabelExample, RetrievalPair
+from .features import (
+    DEFAULT_BITS,
+    MulticlassExample,
+    MultilabelExample,
+    RetrievalPair,
+    SparseVector,
+    Values,
+    feature_indices,
+    values_from_bytes,
+)
 
 
 def _hash_rows(prefix: str, rows: np.ndarray, bits: int) -> list[SparseVector]:
@@ -101,7 +111,9 @@ def multilabel_topics(
     its topic's full label block."""
     if labels_per_topic < 1:
         raise ValueError("labels_per_topic must be >= 1")
-    topics = max(1, labels // labels_per_topic)
+    if labels < labels_per_topic:  # no topic's label block would fit in [0, labels)
+        raise ValueError("labels must be >= labels_per_topic")
+    topics = labels // labels_per_topic
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.0, (topics, dim))
     blocks = [

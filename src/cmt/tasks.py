@@ -10,16 +10,24 @@ label of a read, and one more steps them all, with the results of a
 `RouterModel` per label bit for bit. The retrieval loop stores
 (query, value) vector pairs and scores returns by cosine similarity. An
 exact linear-scan nearest-neighbor baseline serves as the reference point.
+Each loop takes the examples that `features.parse_line` and the synthetic
+generators build.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count
 from struct import pack
 
-from .features import SparseVector, cosine, l2_distance
+from .features import (
+    MulticlassExample,
+    MultilabelExample,
+    RetrievalPair,
+    SparseVector,
+    cosine,
+    l2_distance,
+)
 from .learners import BASE_RATE, _column_sums, sigmoid
 from .tree import LeafExplore, Memory, Tree
 
@@ -27,24 +35,6 @@ MODE_ONLINE = "online"
 
 # examples per windowed-accuracy row of mc_progressive_run
 ACCURACY_WINDOW = 100
-
-
-@dataclass(frozen=True)
-class MulticlassExample:
-    x: SparseVector
-    label: int
-
-
-@dataclass(frozen=True)
-class MultilabelExample:
-    x: SparseVector
-    labels: frozenset[int]
-
-
-@dataclass(frozen=True)
-class RetrievalPair:
-    x: SparseVector
-    value: SparseVector
 
 
 def entropy_reduction(p_a: float, p_b: float) -> float:

@@ -19,6 +19,7 @@ leaf's routers, found from its parent links, and the leaf itself.
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from hashlib import blake2b
@@ -165,8 +166,9 @@ class Tree:
     """Shared state: root node, scorer, key map, and the balance knobs.
 
     alpha in (0, 1] weights balance against predicted reward when training
-    routers, finite c > 0 scales the leaf capacity c * ln(stored), and d is
-    the number of reroute passes run after every insert or update.
+    routers, c > 0 scales the leaf capacity c * ln(stored) and must keep it
+    finite at every store size, and d is the number of reroute passes run
+    after every insert or update.
 
     Besides the key map, the tree keeps its non-empty leaves indexed by
     memory count. A remove that shrinks the capacity finds the leaves now
@@ -183,8 +185,9 @@ class Tree:
     ):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if not (c > 0.0 and math.isfinite(c)):
-            raise ValueError("c must be finite and positive")
+        # c * ln(n) must stay finite for every store size n, or capacity() overflows
+        if not (c > 0.0 and math.isfinite(c * math.log(sys.maxsize))):
+            raise ValueError("c must be positive and small enough for a finite leaf capacity")
         if type(d) is not int or type(seed) is not int:
             raise TypeError("d and seed must be integers")
         if d < 0:

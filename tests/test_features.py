@@ -1,16 +1,19 @@
+import ast
 import math
 import os
 import struct
 import sys
 import tempfile
 from hashlib import blake2b
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmt
 from cmt.features import (
-    LabeledLine,
+    MultilabelExample,
     ParseError,
     SparseVector,
     Values,
@@ -21,7 +24,6 @@ from cmt.features import (
     hash_features,
     l2_distance,
     parse_line,
-    render_line,
     values_from_bytes,
 )
 from cmt.learners import ScorerModel, pair_features
@@ -341,21 +343,24 @@ def test_sixteen_values_take_eight_bytes_each_and_no_spare_room():
 # -- line parsing --------------------------------------------------------------
 
 def test_parse_multiclass_line():
-    line = parse_line("3 | f1:2 f2", "multiclass")
-    assert line.label == 3
+    ex = parse_line("3 | f1:2 f2", "multiclass")
+    assert ex.label == 3
     h = hash_features([("f1", 2.0), ("f2", 1.0)], 20)
-    assert line.right_block == h
+    assert ex.x == h
 
 
 def test_parse_multilabel_line():
-    line = parse_line("1,4 | a:1", "multilabel")
-    assert line.labels == frozenset({1, 4})
+    ex = parse_line("1,4 | a:1", "multilabel")
+    assert ex.labels == frozenset({1, 4})
 
 
 def test_parse_retrieval_line():
-    line = parse_line("q1:1 | v1:1", "retrieval")
-    assert line.left_block == hash_features([("q1", 1.0)], 20)
-    assert line.right_block == hash_features([("v1", 1.0)], 20)
+    ex = parse_line("q1:1 | v1:1", "retrieval")
+    assert ex.x == hash_features([("q1", 1.0)], 20)
+    assert ex.value == hash_features([("v1", 1.0)], 20)
+    # a value block that hashes to the zero vector is refused
+    with pytest.raises(ParseError, match="line 3: retrieval value vector must be nonzero"):
+        parse_line("q1:1 | v1:1 v1:-1", "retrieval", lineno=3)
 
 
 @pytest.mark.parametrize(
@@ -383,8 +388,8 @@ def test_parse_error_carries_line_number():
 
 
 def test_default_feature_value_is_one():
-    line = parse_line("0 | f1", "multiclass")
-    assert line.right_block == hash_features([("f1", 1.0)], 20)
+    ex = parse_line("0 | f1", "multiclass")
+    assert ex.x == hash_features([("f1", 1.0)], 20)
 
 
 label_list = st.lists(st.integers(0, 9999), min_size=1, max_size=4, unique=True)
@@ -398,8 +403,25 @@ feature_tokens = st.lists(
 
 @settings(max_examples=200)
 @given(label_list, feature_tokens)
-def test_parse_render_round_trip(labels, tokens):
-    left = tuple(str(v) for v in labels)
-    right = tuple(f"{name}:{value!r}" for name, value in tokens)
-    line = LabeledLine("multilabel", left, right, hash_features(tokens, 20))
-    assert parse_line(render_line(line), "multilabel") == line
+def test_parse_multilabel_line_from_its_labels_and_tokens(labels, tokens):
+    text = ",".join(map(str, labels)) + " | " + " ".join(f"{name}:{value!r}" for name, value in tokens)
+    assert parse_line(text, "multilabel") == MultilabelExample(hash_features(tokens, 20), frozenset(labels))
+
+
+def package_imports(module: str) -> set[str]:
+    """The cmt modules that src/cmt/<module>.py imports, relatively or by name."""
+    source = Path(cmt.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = f"cmt.{node.module or ''}".rstrip(".") if node.level else node.module
+            names |= {f"{base}.{a.name}" for a in node.names} if base == "cmt" else {base}
+    return {name.split(".")[1] for name in names if name.startswith("cmt.")}
+
+
+@pytest.mark.parametrize("module", ["features", "synth"])
+def test_data_layer_imports_no_upper_layer(module):
+    # parsing and generating examples must not pull in the tree, its learners or the tasks
+    assert not package_imports(module) & {"tasks", "tree", "learners", "snapshot", "runner"}

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import cmt
@@ -593,10 +593,11 @@ def test_cli_data_error_exit_code(tmp_path):
     # synth parameters that yield non-finite or impossible rows
     for param in ("noise=inf", "noise=nan", "dim=-1"):
         assert main(["train", "--data", f"synth:multiclass?classes=3&shots=2&{param}"]) == 3
-    # negative counts, and topics of zero labels
+    # negative counts, topics of zero labels, and fewer labels than one topic holds
     assert main(["train", "--data", "synth:multiclass?classes=3&shots=-1"]) == 3
     for uri in ("synth:multilabel?examples=-1&labels=5",
-                "synth:multilabel?examples=5&labels=5&labels_per_topic=0"):
+                "synth:multilabel?examples=5&labels=5&labels_per_topic=0",
+                "synth:multilabel?examples=5&labels=2"):
         assert main(["train", "--mode", "multilabel", "--data", uri]) == 3
     assert main(["train", "--mode", "retrieval", "--data", "synth:retrieval?pairs=-2&dim=3"]) == 3
     # a data file that is not UTF-8
@@ -713,6 +714,7 @@ def test_cli_snapshot_error_exit_code(tmp_path):
         "alpha_5": with_header(raw, {**header, "alpha": 5.0}),
         "rng_int": with_header(raw, {**header, "rng_state": 3}),
         "c_inf": with_header(raw, {**header, "c": float("inf")}),
+        "c_huge": with_header(raw, {**header, "c": 1e308}),  # c * ln(n) overflows
         "seed_str": with_header(raw, {**header, "seed": "x"}),
         "d_float": with_header(raw, {**header, "d": 2.5}),
         "nested": nested(2000),
@@ -759,11 +761,12 @@ def test_cli_usage_error_exit_code(tmp_path):
     # store sizes below 1
     for sizes in ("0", "-5", "3,0"):
         assert main(["bench", "--sizes", sizes]) == 2, sizes
-    # an infinite leaf multiplier, wherever it is given
+    # an infinite leaf multiplier, or one whose capacity c * ln(n) overflows, wherever it is given
     synth = "synth:multiclass?classes=2&shots=1"
-    assert main(["train", "--leaf-mult", "inf", "--data", synth]) == 2
-    assert main(["bench", "--sizes", "3", "--leaf-mult", "inf"]) == 2
-    assert main(["ablate", "--param", "c", "--values", "inf", "--data", synth]) == 2
+    for c in ("inf", "1e308"):
+        assert main(["train", "--leaf-mult", c, "--data", synth]) == 2, c
+        assert main(["bench", "--sizes", "3", "--leaf-mult", c]) == 2, c
+        assert main(["ablate", "--param", "c", "--values", c, "--data", synth]) == 2, c
     # negative pass counts, refused before the (missing) data file is read
     missing = str(tmp_path / "missing.vw")
     assert main(["train", "--passes-sup", "-3", "--data", missing]) == 2
@@ -782,6 +785,20 @@ def test_cli_usage_error_exit_code(tmp_path):
         assert main(["train", "--mode", mode, "--update-on-exploit", "--data", missing]) == 2
         assert main(["ablate", "--mode", mode, "--update-on-exploit", "--param", "d",
                      "--values", "1", "--data", missing]) == 2, mode
+
+
+# values that reach Tree: valid ones, and the edges a float flag can carry
+flag_float = st.sampled_from([0.5, 1.0, 4.0, 1e308, math.inf, math.nan, 5e-324, 0.0]) | st.floats()
+
+
+@settings(max_examples=200, deadline=None)
+@example(c=1e308, alpha=0.9, d=1, bits=20, seed=0)  # a capacity c * ln(n) that overflows
+@given(c=flag_float, alpha=flag_float, d=st.integers(-1, 3), bits=st.integers(0, 32),
+       seed=st.integers(-1, 1000))
+def test_cli_bench_numeric_flags_exit_0_or_2(c, alpha, d, bits, seed):
+    argv = ["bench", "--sizes", "8", f"--leaf-mult={c!r}", f"--alpha={alpha!r}",
+            f"--reroutes={d}", f"--hash-bits={bits}", f"--seed={seed}"]
+    assert main(argv) in (0, 2)
 
 
 def test_cli_test_hash_bits_must_match_the_stored_width(tmp_path, capsys):

@@ -98,5 +98,6 @@ def test_generate_rejects_a_negative_count(kind, param):
 def test_generate_accepts_zero_counts_but_not_empty_topics():
     assert synth.generate("synth:multiclass?classes=0&shots=0") == ([], [])
     assert synth.generate("synth:retrieval?pairs=0&dim=0") == ([], [])
-    with pytest.raises(ValueError, match="labels_per_topic"):
-        synth.generate("synth:multilabel?examples=5&labels=5&labels_per_topic=0")
+    for params in ("labels=5&labels_per_topic=0", "labels=2", "labels=0"):
+        with pytest.raises(ValueError, match="labels_per_topic"):
+            synth.generate(f"synth:multilabel?examples=5&{params}")
