@@ -17,8 +17,10 @@ generators build.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from itertools import count
 from struct import pack
+from types import MappingProxyType
 
 from .features import (
     MulticlassExample,
@@ -29,7 +31,7 @@ from .features import (
     l2_distance,
 )
 from .learners import BASE_RATE, _column_sums, sigmoid
-from .tree import LeafExplore, Memory, Tree
+from .tree import Leaf, LeafExplore, Memory, Tree
 
 MODE_ONLINE = "online"
 
@@ -201,6 +203,14 @@ class _Label:
         return packed
 
 
+def _weigh(block, x: SparseVector) -> list[float]:
+    """Each label's score: its column of a (features x labels) weight block
+    on x's index tuple times x's values, summed in x's order."""
+    import numpy as np
+
+    return _column_sums(block * np.frombuffer(x.values)[:, None]).tolist()
+
+
 def _index(cells: list[bytes], n: int):
     """The labels' cells for n features as a C-ordered (features x labels) index."""
     import numpy as np
@@ -220,19 +230,26 @@ class OASModel:
     weights equal a per-label `RouterModel`'s bit for bit; only the sign of a
     zero score can differ, and no prediction or step reads it.
 
-    `scorers` is the live mapping of label to its `_Label` record, whose
-    `entries`, `update_count` and `mistake_count` a snapshot saves.
+    `scorers` is a live, read-only view of label to its `_Label` record,
+    whose `entries`, `update_count` and `mistake_count` a snapshot saves.
     Assigning a mapping of label to model (the `RouterModel`s a snapshot
     load returns) copies those models into a new pool.
+
+    A test read of a leaf keeps what depends only on the leaf's memories and
+    the weights in the leaf's `labels` slot (see `_leaf_labels`), tagged
+    with the model's token: a fresh object that every weight write, `update`
+    or assigning `scorers`, replaces. So a slot written before a write, or
+    by another model, is never served.
     """
 
     def __init__(self):
         self._pool = _Pool()
         self._labels: dict[int, _Label] = {}
+        self._token = object()
 
     @property
-    def scorers(self) -> dict[int, _Label]:
-        return self._labels
+    def scorers(self) -> Mapping[int, _Label]:
+        return MappingProxyType(self._labels)
 
     @scorers.setter
     def scorers(self, models) -> None:
@@ -246,7 +263,7 @@ class OASModel:
             pool.g2[start:pool.size] = [g2 for _, _, g2 in entries]
             record.update_count = model.update_count
             record.mistake_count = model.mistake_count
-        self._pool, self._labels = pool, labels
+        self._pool, self._labels, self._token = pool, labels, object()
 
     def scores(self, candidates, x: SparseVector) -> dict[int, float]:
         """Each candidate label's raw score for x; a label without a scorer scores 0.0.
@@ -258,14 +275,35 @@ class OASModel:
         labels = self._labels
         held = [label for label in scores if label in labels]
         if held:
-            import numpy as np
-
-            idx = x.indices
-            fmt = f"{len(idx)}q"
-            index = _index([labels[label].read_cells(idx, fmt) for label in held], len(idx))
-            column = np.frombuffer(x.values)[:, None]
-            scores.update(zip(held, _column_sums(self._pool.w[index] * column).tolist()))
+            scores.update(zip(held, _weigh(self._gather(held, x.indices), x)))
         return scores
+
+    def _gather(self, held: Sequence[int], idx: tuple[int, ...]):
+        """The C-ordered (features x labels) weights of the held labels on idx."""
+        fmt = f"{len(idx)}q"
+        labels = self._labels
+        return self._pool.w[_index([labels[label].read_cells(idx, fmt) for label in held], len(idx))]
+
+    def _leaf_labels(self, leaf: Leaf, memories: tuple[Memory, ...], idx: tuple[int, ...]):
+        """(candidates, held labels, their read-only `_gather`ed block) of a
+        test read of `leaf` that returned `memories` for a key on index tuple
+        idx: from `leaf.labels` while it holds this model's token, idx and
+        `memories`, else built and stored there whole in one attribute write."""
+        entry = leaf.labels
+        if (entry is not None and entry[0] is self._token
+                and (entry[1] is idx or entry[1] == idx) and entry[2] == memories):
+            return entry[3:]
+        candidates: set[int] = set()
+        for z in memories:
+            candidates |= z.value
+        labels = self._labels
+        held = tuple(label for label in candidates if label in labels)
+        block = None
+        if held:
+            block = self._gather(held, idx)
+            block.flags.writeable = False
+        leaf.labels = entry = (self._token, idx, memories, frozenset(candidates), held, block)
+        return entry[3:]
 
     def predict(self, scores: dict[int, float]) -> set[int]:
         """The labels of `scores`, from `self.scores`, that score above 0."""
@@ -284,6 +322,7 @@ class OASModel:
         import numpy as np
 
         labels, pool = self._labels, self._pool
+        self._token = object()
         idx = x.indices
         fmt = f"{len(idx)}q"
         records, ys, cells, grads = [], [], [], []
@@ -325,22 +364,34 @@ def oas_step(
     `t.rng`; an exploration read puts the memory it picked first, and
     `Tree.update` credits that memory.
 
+    A test read of a leaf whose memories, index tuple and label weights are
+    those of its last test read takes the candidates, the held labels and
+    their weight block from the leaf's `labels` slot, so it only weighs x's
+    values and predicts; the answer is `oas.predict(oas.scores(candidates,
+    x))` bit for bit. A training read neither reads nor writes the slot.
+
     Returns (predicted label set, candidate label set).
     """
     result = t.query(ex.x, None, epsilon if train else 0.0)
-    candidates: set[int] = set()
-    for z in result.memories:
+    memories = result.memories
+    if not train:
+        if not memories:
+            return set(), set()
+        candidates, held, block = oas._leaf_labels(
+            t.M[memories[0].key_fingerprint], memories, ex.x.indices)
+        return oas.predict(dict(zip(held, _weigh(block, ex.x))) if held else {}), candidates
+    candidates = set()
+    for z in memories:
         candidates |= z.value
     scores = oas.scores(candidates, ex.x)
     predicted = oas.predict(scores)
-    if train:
-        if candidates:
-            oas.update(ex.x, ex.labels, scores)
-        if result.key is not None:
-            top = result.memories[0]
-            t.update(ex.x, top, f1_reward(ex.labels, top.value), result.key)
-        if not t.contains(ex.x):
-            t.insert(Memory(ex.x, ex.labels))
+    if candidates:
+        oas.update(ex.x, ex.labels, scores)
+    if result.key is not None:
+        top = memories[0]
+        t.update(ex.x, top, f1_reward(ex.labels, top.value), result.key)
+    if not t.contains(ex.x):
+        t.insert(Memory(ex.x, ex.labels))
     return predicted, candidates
 
 

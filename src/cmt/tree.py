@@ -61,15 +61,18 @@ class Leaf:
     """Memories in stored order. `block` is the scorer's cache of the value
     block its last block-scored read built; `ScorerModel.predict` checks it
     against the leaf's keys, so a change to `mem` never serves a stale one.
-    A remove clears it anyway, so the block does not keep the removed key
-    alive."""
+    `labels` is the label layer's cache of its last test read of the leaf
+    (`cmt.tasks.OASModel`), checked against the memories that read returned
+    in the same way. A remove clears both anyway, so neither keeps the
+    removed memory alive."""
 
-    __slots__ = ("parent", "mem", "block")
+    __slots__ = ("parent", "mem", "block", "labels")
 
     def __init__(self, parent: Optional["Internal"] = None):
         self.parent = parent
         self.mem: list[Memory] = []
         self.block: Optional[tuple] = None
+        self.labels: Optional[tuple] = None
 
     is_leaf = True
 
@@ -503,7 +506,7 @@ class Tree:
         for idx, m in enumerate(leaf.mem):
             if m.key_fingerprint == fp:
                 z = leaf.mem.pop(idx)
-                leaf.block = None
+                leaf.block = leaf.labels = None
                 break
         else:
             raise AssertionError("key map points at a leaf that lacks the memory")

@@ -425,3 +425,9 @@ def package_imports(module: str) -> set[str]:
 def test_data_layer_imports_no_upper_layer(module):
     # parsing and generating examples must not pull in the tree, its learners or the tasks
     assert not package_imports(module) & {"tasks", "tree", "learners", "snapshot", "runner"}
+
+
+@pytest.mark.parametrize("module", ["tree", "learners"])
+def test_memory_layer_imports_no_upper_layer(module):
+    # the label layer fills a leaf's `labels` slot; the tree must not import it
+    assert not package_imports(module) & {"tasks", "snapshot", "runner", "cli"}

@@ -19,6 +19,8 @@ from cmt.tasks import (
     mc_progressive_run,
     mc_step,
     nn_linear_scan,
+    _Label,
+    _index,
     oas_step,
     retrieval_step,
 )
@@ -298,6 +300,100 @@ def test_assigned_scorers_adopt_a_loaded_snapshot(tmp_path, sparse):
         assert oas_step(served, served_oas, ex, train=False) == oas_step(t, oas, ex, train=False)
 
 
+def test_oas_scorers_are_a_read_only_view(tmp_path):
+    train, _ = multilabel_topics(examples=100, labels=12, seed=5)
+    t = Tree(seed=5, d=1)
+    oas = OASModel()
+    for ex in train:
+        oas_step(t, oas, ex, train=True, epsilon=0.1)
+    view = oas.scorers
+    label = next(iter(view))
+    with pytest.raises(TypeError):
+        view[label] = view[label]
+    with pytest.raises(TypeError):
+        del view[label]
+    snapshot_save(t, str(tmp_path / "view.snap"), label_scorers=view)
+    snapshot_save(t, str(tmp_path / "dict.snap"), label_scorers=dict(view))
+    assert (tmp_path / "view.snap").read_bytes() == (tmp_path / "dict.snap").read_bytes()
+
+
+CACHE_OPS = ("train", "insert", "remove", "assign", "read")
+
+
+@pytest.mark.parametrize("support", ["shared", "mixed", "empty"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cached_oas_reads_equal_the_uncached_read(support, data):
+    # two models take turns on one tree, between weight writes, scorer
+    # assignments, inserts and removes; every test read, served from a leaf's
+    # label slot or not, must equal the union plus predict(scores(...))
+    d = data.draw(st.integers(0, 1), label="reroutes")
+    t = euclidean_tree(c=1.0, d=d, seed=data.draw(st.integers(0, 3), label="seed"))
+    models = (OASModel(), OASModel())
+    keys = []
+    for x, _, truth, _ in data.draw(oas_rounds(support)):
+        keys.append(x)
+        key = data.draw(st.sampled_from(keys), label="key")  # an earlier key leaves its leaf as read
+        oas, other = models if data.draw(st.booleans(), label="first model") else models[::-1]
+        op = data.draw(st.sampled_from(CACHE_OPS), label="op")
+        if op == "train":
+            oas_step(t, oas, MultilabelExample(key, truth), train=True, epsilon=0.1)
+        elif op == "insert" and not t.contains(key):
+            t.insert(Memory(key, truth))
+        elif op == "remove" and len(t):
+            t.remove(data.draw(st.sampled_from(list(t.memories())), label="removed").x)
+        elif op == "assign":
+            oas.scorers = dict(data.draw(st.sampled_from((oas, other)), label="assigned").scorers)
+        copy = SparseVector(list(key.indices), key.values)  # an equal index tuple, another object
+        part = SparseVector(key.indices[::2], list(key.values)[::2])  # another index tuple
+        for read in (key, key, copy, part, x, key):
+            expected = ranked_oas_read(t, oas, read)
+            assert oas_step(t, oas, MultilabelExample(read, truth), train=False) == expected
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["synth", "sparse"])
+def test_a_repeat_test_read_of_an_unchanged_leaf_gathers_nothing(monkeypatch, sparse):
+    train, test = multilabel_topics(examples=200, labels=24, test_examples=60, seed=8)
+    if sparse:
+        train, test = sparse_examples(train, 8), sparse_examples(test, 108)
+    t = Tree(seed=8, d=1)
+    oas = OASModel()
+    for ex in train:
+        oas_step(t, oas, ex, train=True, epsilon=0.1)
+    calls = []
+    read_cells = _Label.read_cells
+
+    def counting_read_cells(self, indices, fmt):
+        calls.append("read_cells")
+        return read_cells(self, indices, fmt)
+
+    def counting_index(cells, n):
+        calls.append("_index")
+        return _index(cells, n)
+
+    monkeypatch.setattr(_Label, "read_cells", counting_read_cells)
+    monkeypatch.setattr("cmt.tasks._index", counting_index)
+    for ex in test:
+        answer = oas_step(t, oas, ex, train=False)
+        before = len(calls)
+        assert oas_step(t, oas, ex, train=False) == answer
+        assert len(calls) == before
+    assert "read_cells" in calls and "_index" in calls  # the first reads gathered
+
+
+def test_a_remove_clears_its_leafs_label_slot():
+    train, test = multilabel_topics(examples=200, labels=24, test_examples=60, seed=9)
+    t = Tree(seed=9, d=1)
+    oas = OASModel()
+    for ex in train:
+        oas_step(t, oas, ex, train=True, epsilon=0.1)
+    for ex in test:
+        oas_step(t, oas, ex, train=False)
+    leaf = next(leaf for leaf in t.leaves() if leaf.labels is not None and len(leaf.mem) > 1)
+    t.remove(leaf.mem[-1].x)
+    assert leaf.labels is None
+
+
 READ_PASS_DATA = {
     MODE_MULTICLASS: lambda: multiclass_clusters(classes=20, shots=3, test_per_class=3, seed=2),
     MODE_MULTILABEL: lambda: multilabel_topics(examples=200, labels=24, test_examples=60, seed=2),
@@ -307,7 +403,8 @@ READ_PASS_DATA = {
 
 def eval_pass(task, tree, test):
     for ex in test:
-        task.eval_step(tree, ex)
+        for _ in range(2):  # the second read of an unchanged leaf is served from its caches
+            task.eval_step(tree, ex)
 
 
 def self_consistency_pass(task, tree, test):
