@@ -6,10 +6,11 @@ one (the runner's default), a read may return the query's own memory. The
 multilabel loop pairs the tree with a one-against-some inference layer that
 only scores labels seen in the returned memories. Its label scorers keep
 their weights in one shared pool, so one numpy pass scores every candidate
-label of a read, and one more steps them all, with the results of a
-`RouterModel` per label bit for bit. The retrieval loop stores
-(query, value) vector pairs and scores returns by cosine similarity. An
-exact linear-scan nearest-neighbor baseline serves as the reference point.
+label of a test read, and a training read scores and steps them all from
+one gather, with the results of a `RouterModel` per label bit for bit. The
+retrieval loop stores (query, value) vector pairs and scores returns by
+cosine similarity. An exact linear-scan nearest-neighbor baseline serves as
+the reference point.
 Each loop takes the examples that `features.parse_line` and the synthetic
 generators build.
 """
@@ -223,8 +224,9 @@ class OASModel:
 
     Each label is a logistic `RouterModel` step for step, but every label's
     weights and squared-gradient sums live in one shared `_Pool`, so a read
-    scores all candidate labels, and a training step steps them all, in one
-    numpy pass over a C-ordered (features x labels) block. Each column is
+    scores all candidate labels in one numpy pass over a C-ordered
+    (features x labels) block, and `update`, a training read's one pass,
+    scores and steps them all from one gather of that block. Each column is
     summed in x's order by `_column_sums`, and each step is the router's
     AdaGrad step in the router's order, so scores, predictions and stored
     weights equal a per-label `RouterModel`'s bit for bit; only the sign of a
@@ -306,18 +308,21 @@ class OASModel:
         return entry[3:]
 
     def predict(self, scores: dict[int, float]) -> set[int]:
-        """The labels of `scores`, from `self.scores`, that score above 0."""
+        """The labels of `scores`, from `self.scores` or `self.update`, that score above 0."""
         return {label for label, score in scores.items() if score > 0.0}
 
-    def update(self, x: SparseVector, truth: frozenset[int], scores: dict[int, float]) -> None:
-        """One logistic step per label of `scores` toward its membership in `truth`.
+    def update(self, x: SparseVector, truth: frozenset[int], candidates) -> dict[int, float]:
+        """One logistic step per candidate label toward its membership in
+        `truth`; returns each candidate's score from before the step.
 
-        `scores` is `self.scores(candidates, x)` before the step: each label
-        has its own weights, so one label's step leaves the others' scores
-        as they were. Labels and features met for the first time get cells
-        first; then every label takes `RouterModel.update`'s step at
-        importance 1 at once, and its mistake count compares the score after
-        the step with its membership.
+        Labels and features met for the first time get cells first, each
+        holding weight 0.0, so the returned scores equal
+        `self.scores(candidates, x)` (a label without weights may score -0.0
+        where `scores` gives 0.0). Each label has its own weights, so one
+        label's step leaves the others' scores as they were: every label
+        takes `RouterModel.update`'s step at importance 1 at once, from one
+        gather of its weights and sums, and its mistake count compares the
+        score after the step with its membership.
         """
         import numpy as np
 
@@ -325,27 +330,30 @@ class OASModel:
         self._token = object()
         idx = x.indices
         fmt = f"{len(idx)}q"
-        records, ys, cells, grads = [], [], [], []
-        for label, score in scores.items():
+        order = dict.fromkeys(candidates)
+        records, ys, cells = [], [], []
+        for label in order:
             record = labels.get(label)
             if record is None:
                 record = labels[label] = _Label(pool)
-            y = 1 if label in truth else -1
             records.append(record)
-            ys.append(y)
+            ys.append(1 if label in truth else -1)
             cells.append(record.step_cells(idx, fmt))
-            grads.append(-1.0 * y * sigmoid(-y * score))
         index = _index(cells, len(idx))
         column = np.frombuffer(x.values)[:, None]
+        w = pool.w[index]
+        before = _column_sums(w * column).tolist()
+        grads = [-1.0 * y * sigmoid(-y * score) for y, score in zip(ys, before)]
         g = np.multiply(grads, column)
         acc = pool.g2[index] + g * g
-        w = pool.w[index] - BASE_RATE / np.sqrt(acc + 1.0) * g
+        w -= BASE_RATE / np.sqrt(acc + 1.0) * g
         pool.g2[index] = acc
         pool.w[index] = w
         for record, y, score in zip(records, ys, _column_sums(w * column).tolist()):
             record.update_count += 1
             if (score > 0.0) != (y > 0):
                 record.mistake_count += 1
+        return dict(zip(order, before))
 
 
 def oas_step(
@@ -368,7 +376,10 @@ def oas_step(
     those of its last test read takes the candidates, the held labels and
     their weight block from the leaf's `labels` slot, so it only weighs x's
     values and predicts; the answer is `oas.predict(oas.scores(candidates,
-    x))` bit for bit. A training read neither reads nor writes the slot.
+    x))` bit for bit. A training read neither reads nor writes the slot:
+    `oas.update` scores its candidates and steps them in one pass, and the
+    prediction is made from the scores before the step, as
+    `oas.predict(oas.scores(candidates, x))` would make it.
 
     Returns (predicted label set, candidate label set).
     """
@@ -383,10 +394,7 @@ def oas_step(
     candidates = set()
     for z in memories:
         candidates |= z.value
-    scores = oas.scores(candidates, ex.x)
-    predicted = oas.predict(scores)
-    if candidates:
-        oas.update(ex.x, ex.labels, scores)
+    predicted = oas.predict(oas.update(ex.x, ex.labels, candidates) if candidates else {})
     if result.key is not None:
         top = memories[0]
         t.update(ex.x, top, f1_reward(ex.labels, top.value), result.key)

@@ -178,18 +178,29 @@ def test_oas_step_scores_each_label_once(monkeypatch):
     oas = OASModel()
     for ex in train[:60]:
         oas_step(t, oas, ex, train=True, epsilon=0.1)
-    scored = []
-    scores = OASModel.scores
+    scored, indexed = [], []
+    scores, update = OASModel.scores, OASModel.update
 
     def counting_scores(self, candidates, x):
         scored.extend(label for label in candidates if label in self.scorers)
         return scores(self, candidates, x)
 
+    def counting_update(self, x, truth, candidates):  # scores every candidate, then steps it
+        scored.extend(candidates)
+        return update(self, x, truth, candidates)
+
+    def counting_index(cells, n):
+        indexed.append(n)
+        return _index(cells, n)
+
     monkeypatch.setattr(OASModel, "scores", counting_scores)
+    monkeypatch.setattr(OASModel, "update", counting_update)
+    monkeypatch.setattr("cmt.tasks._index", counting_index)
     for ex in train[60:]:
-        before = len(scored)
+        before, index_calls = len(scored), len(indexed)
         _, candidates = oas_step(t, oas, ex, train=True, epsilon=0.1)
         assert len(scored) - before <= len(candidates)
+        assert len(indexed) - index_calls == (1 if candidates else 0)  # one gather a step
     assert scored
 
 
@@ -272,7 +283,7 @@ def test_pooled_oas_equals_the_per_label_reference(support, data):
         assert scores == expected  # only the sign of a zero may differ
         assert oas.predict(scores) == reference.predict(expected)
         if train:
-            oas.update(x, truth, scores)
+            assert oas.update(x, truth, candidates) == expected  # the scores before the step
             reference.update(x, truth, expected)
         assert oas.scorers.keys() == reference.scorers.keys()
         for label, model in reference.scorers.items():  # weights, sums and counts, bit for bit
