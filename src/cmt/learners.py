@@ -20,15 +20,17 @@ keys) block read straight from the keys' eight-byte value buffers, each sum
 added down a key's column in the order the per-key loops add it, so the
 scores match those loops bit for bit; any other leaf is scored one key at a
 time. The block, and for the learned score the keys' norms, depend on the
-keys alone: a tree leaf keeps the last ones built for it, and a read of a
-leaf whose keys have not changed reuses them. The learned pass works in one
-buffer: a single reduce gives every key's dot product and squared distance,
-and the score rows are written in place above them. What it needs of the
-scorer's weights for the query's index tuple (the cosine, distance and bias
-weights, and the product weights as a read-only column) is kept in one
-record until `update` or `set_entries` changes a weight, so a served tree
-looks its weights up once. numpy is imported on first use, not with this
-module.
+keys alone: both are read-only once built, a tree leaf keeps the last ones
+built for it, and a read of a leaf whose keys have not changed reuses them.
+The learned pass works in one buffer of two contiguous row blocks, the
+score's rows and the squared differences: a single reduce down both gives
+every key's dot product and squared distance, and one divide and one
+multiply write the cosine and distance rows above the products. What it
+needs of the scorer's weights for the query's index tuple (the cosine,
+distance and bias weights, the first two also as a read-only column, and
+the product weights as a read-only column) is kept in one record until
+`update` or `set_entries` changes a weight, so a served tree looks its
+weights up once. numpy is imported on first use, not with this module.
 """
 
 from __future__ import annotations
@@ -287,19 +289,21 @@ PairWeights = tuple[Optional[float], Optional[float], Optional[float], list]
 
 
 def _column_sums(a):
-    """Sums over the first axis of a 2-d array whose rows are contiguous,
-    each added in order, as the per-key loops add a key's terms. Across two
-    or more columns np.add.reduce adds row after row; a single column is one
-    run, which it would add pairwise. Only the sign of a zero sum can differ
+    """Sums down the rows of a (rows x keys) block, or of each block of a
+    stack of them, every sum added row after row, as the per-key loops add
+    a key's terms. The rows of each block must be contiguous. Across two or
+    more columns np.add.reduce adds row after row; a single column is one
+    run, which it would add pairwise, so that takes np.add.accumulate, and a
+    block of no rows sums to zeros. Only the sign of a zero sum can differ
     from a loop's: a sum of squares is never -0.0, and the learned score's
     clamp drops the sign."""
     import numpy as np
 
-    if a.shape[1] > 1:
-        return np.add.reduce(a, axis=0)
-    if not a.shape[0]:
-        return np.zeros(a.shape[1])
-    return np.add.accumulate(a, axis=0)[-1]
+    if a.shape[-1] > 1:
+        return np.add.reduce(a, axis=-2)
+    if not a.shape[-2]:
+        return np.zeros(a.shape[:-2] + a.shape[-1:])
+    return np.add.accumulate(a, axis=-2)[..., -1, :]
 
 
 def _block_distances(x: SparseVector, keys) -> list[float]:
@@ -315,7 +319,8 @@ def _block_distances(x: SparseVector, keys) -> list[float]:
 
 def _cosine_norms(keys):
     """key.norm() of each column of a (features x keys) block, its squares
-    summed in the same order; a zero norm is stored as inf.
+    summed in the same order, as a read-only array; a zero norm is stored
+    as inf.
 
     The pair map's cosine is 0.0, no feature, for a key of norm 0.0. Its
     dot product with any x is finite (each |a*b| is below 1e147 when b*b
@@ -326,78 +331,80 @@ def _cosine_norms(keys):
     with np.errstate(all="ignore"):
         norms = np.sqrt(_column_sums(keys * keys))
     norms[norms == 0.0] = np.inf
+    norms.setflags(write=False)
     return norms
 
 
 # What `_block_scores` needs of the scorer for queries on one index tuple:
-# (index tuple, cosine weight, distance weight, bias weight, product column,
-# missing rows). The product column is a read-only (features x 1) array of
-# the product weights with 0.0 where the model holds none. Missing rows is
-# None unless some product weight is missing or not finite (the mask case);
-# then it is a read-only (features x 1) array, True where a weight is missing.
-BlockWeights = tuple[tuple[int, ...], Optional[float], Optional[float], Optional[float], Any, Any]
+# (index tuple, cosine weight, distance weight, bias weight, head column,
+# product column, missing rows). The head column is a read-only (2 x 1)
+# array of the cosine and distance weights, the product column a read-only
+# (features x 1) array of the product weights, each 0.0 where the model
+# holds none; both are views of one array. Missing rows is None unless some
+# product weight is missing or not finite (the mask case); then it is a
+# read-only (features x 1) array, True where a weight is missing.
+BlockWeights = tuple[tuple[int, ...], Optional[float], Optional[float], Optional[float],
+                     Any, Any, Any]
 
 
 def _block_scores(x: SparseVector, keys, norms, weights: BlockWeights) -> list[float]:
     """The learned score of each column of `keys`, a C-ordered (features x
     keys) block of keys on x's index set, whose `_cosine_norms` are `norms`.
 
-    All the work runs in one C-ordered buffer of (features + 3) x (2 keys).
-    Its lower rows hold each key's products a*b in the first `keys` columns
-    and its squared differences (a-b)² beside them, so one reduce down the
-    rows gives every dot product and squared distance, each added row after
-    row as `_pair_map` adds it (2 keys >= 2 columns, so never the pairwise
-    one-column case). The top three rows of the first half then take the
-    cosine, distance and bias terms, the products are weighted in place,
-    and each key's score is the sum down its column of that
-    (features + 3) x keys half: the order raw(pair_features) adds them.
+    The work runs in one C-ordered (2, features + 3, keys) buffer of two
+    contiguous blocks. Block 0 holds the score: cosine, distance and bias
+    rows above each key's products a*b. Block 1 holds each key's squared
+    differences (a-b)² below three spare rows. One `_column_sums` down both
+    blocks' lower rows gives every dot product and squared distance, each
+    added row after row as `_pair_map` adds it. The spare rows take the
+    cosine denominators (norms * ||x||) and the distance denominators
+    (1 + d), so one divide writes both head rows of block 0 and one
+    multiply by the kept head column weights them. The products are
+    weighted in place, and each key's score is the sum down its column of
+    block 0: the order raw(pair_features) adds them.
 
     The per-key loop leaves out a zero cosine, distance or product; adding
     w times that zero, a signed zero, adds nothing either, unless w is not
     finite. A feature without a weight holds -0.0. So only a missing or
-    non-finite weight needs a mask.
+    non-finite weight, or a zero ||x||, needs a patch after the pass.
     """
     import numpy as np
 
-    _, w_cos, w_dist, w_bias, column, missing = weights
+    _, w_cos, w_dist, w_bias, w_head, column, missing = weights
     x_norm = x.norm()
     n, m = keys.shape
     a = np.frombuffer(x.values)[:, None]  # x's own buffer: only read
-    work = np.empty((n + 3, 2 * m))
-    lower = work[3:]
-    products, squares = lower[:, :m], lower[:, m:]
-    cos, dist, bias = work[0, :m], work[1, :m], work[2, :m]
+    work = np.empty((2, n + 3, m))
+    score, spare = work[0], work[1]
+    products, squares = score[3:], spare[3:]
     with np.errstate(all="ignore"):  # overflow to inf and NaN, silent as Python floats are
         np.multiply(keys, a, out=products)
         np.subtract(a, keys, out=squares)
         np.square(squares, out=squares)
-        sums = np.add.reduce(lower, axis=0)  # dot products, then squared distances
+        sums = _column_sums(work[:, 3:])  # dot products, then squared distances
+        d = np.sqrt(sums[1], out=sums[1])
+        np.multiply(norms, x_norm, out=spare[0])
+        np.add(d, 1.0, out=spare[1])
+        head = score[:2]
+        np.divide(sums, spare[:2], out=head)  # cosines, then d/(1+d)
+        cos_zero = None if w_cos is None or math.isfinite(w_cos) else head[0] == 0.0
+        np.multiply(head, w_head, out=head)
         if w_cos is None or x_norm == 0.0:
-            cos[:] = -0.0
-        else:
-            np.multiply(norms, x_norm, out=cos)
-            np.divide(sums[:m], cos, out=cos)
-            zero = None if math.isfinite(w_cos) else cos == 0.0
-            np.multiply(cos, w_cos, out=cos)
-            if zero is not None:
-                cos[zero] = -0.0
+            score[0] = -0.0
+        elif cos_zero is not None:
+            score[0, cos_zero] = -0.0
         if w_dist is None:
-            dist[:] = -0.0
-        else:
-            d = np.sqrt(sums[m:], out=sums[m:])
-            np.add(d, 1.0, out=dist)
-            np.divide(d, dist, out=dist)
-            np.multiply(dist, w_dist, out=dist)
-            if not math.isfinite(w_dist):
-                dist[d == 0.0] = -0.0
-        bias[:] = -0.0 if w_bias is None else w_bias
+            score[1] = -0.0
+        elif not math.isfinite(w_dist):
+            score[1, d == 0.0] = -0.0
+        score[2] = -0.0 if w_bias is None else w_bias
         if missing is not None:
             skip = products == 0.0  # an underflowed product is no feature
             np.logical_or(skip, missing, out=skip)
         np.multiply(products, column, out=products)
         if missing is not None:
             products[skip] = -0.0
-        total = _column_sums(work[:, :m])
+        total = _column_sums(score)
         np.fmin(total, 1.0, out=total)  # min(1.0, total): NaN gives 1.0
         np.maximum(total, 0.0, out=total)
         total += 0.0  # max(0.0, total) is 0.0 for -0.0 too, whichever zero maximum kept
@@ -440,10 +447,11 @@ class ScorerModel(LinearModel):
         block of their values, with the keys' norms for the learned score.
         Every sum runs down a key's column in the order the per-key loops
         add it, so the scores match those loops bit for bit. The learned pass
-        (`_block_scores`) runs in one work buffer and reads the weights from
-        the scorer's kept record for x's index tuple, which it builds only
-        after a weight write or for another index tuple; a served tree's
-        weights never change, so its reads of one index set build it once.
+        (`_block_scores`) runs in one work buffer of two row blocks and
+        reads the weights from the scorer's kept record for x's index tuple,
+        which it builds only after a weight write or for another index
+        tuple; a served tree's weights never change, so its reads of one
+        index set build it once.
         Otherwise each key is scored on its own, through `_pair_map` or
         `l2_distance`.
 
@@ -485,13 +493,14 @@ class ScorerModel(LinearModel):
 
         Both modes get one C-ordered (features x keys) block, copied from
         the joined bytes of the keys' `Values`; the learned score also gets
-        the keys' `_cosine_norms`, the euclidean score None. A leaf's `block`
-        is a (keys, index tuple, block, norms) tuple, or None, and is stored
-        whole in one attribute write. It is reused while x has its index
-        tuple and the key list it was built from equals `keys`: list
-        equality tests identity first, and an equal key has equal values. So
-        a read of a leaf changed since rebuilds it; a removal clears it only
-        so that the removed key is freed at once.
+        the keys' `_cosine_norms`, the euclidean score None. Both arrays are
+        read-only, so a stray `out=` raises instead of changing what later
+        reads share. A leaf's `block` is a (keys, index tuple, block, norms)
+        tuple, or None, and is stored whole in one attribute write. It is
+        reused while x has its index tuple and the key list it was built
+        from equals `keys`: list equality tests identity first, and an equal
+        key has equal values. So a read of a leaf changed since rebuilds it;
+        a removal clears it only so that the removed key is freed at once.
         """
         xi = x.indices
         learned = self.mode == SCORER_LEARNED
@@ -511,6 +520,7 @@ class ScorerModel(LinearModel):
 
         n, m = len(xi), len(keys)
         block = np.frombuffer(b"".join([k.values for k in keys])).reshape(m, n).T.copy()
+        block.setflags(write=False)  # costs less than a write to .flags, paid on every build
         norms = _cosine_norms(block) if learned else None
         if leaf is not None:
             leaf.block = (list(keys), xi, block, norms)
@@ -538,9 +548,10 @@ class ScorerModel(LinearModel):
             missing = np.array([wi is None for wi in w_prod], dtype=bool).reshape(-1, 1)
             missing.flags.writeable = False
             w_prod = [0.0 if wi is None else wi for wi in w_prod]
-        column = np.array(w_prod, dtype=float).reshape(-1, 1)
+        column = np.array([0.0 if w_cos is None else w_cos, 0.0 if w_dist is None else w_dist,
+                           *w_prod], dtype=float).reshape(-1, 1)
         column.flags.writeable = False
-        kept = self._kept = (indices, w_cos, w_dist, w_bias, column, missing)
+        kept = self._kept = (indices, w_cos, w_dist, w_bias, column[:2], column[2:], missing)
         return kept
 
     def set_entries(self, entries) -> None:

@@ -16,8 +16,11 @@ from cmt.learners import (
     PAIR_COSINE,
     PAIR_DISTANCE,
     PAIR_PRODUCT_OFFSET,
+    SCORER_EUCLIDEAN,
+    SCORER_LEARNED,
     RouterModel,
     ScorerModel,
+    _column_sums,
     pair_features,
     sigmoid,
 )
@@ -552,6 +555,93 @@ def test_a_product_without_a_weight_is_left_out_even_when_it_overflows():
     expected = [max(0.0, min(1.0, f.raw(pair_features(x, k)))) for k in keys]
     assert expected == [0.5, 0.75]
     assert f.predict(x, keys) == f.predict(x, keys, Leaf()) == expected
+
+
+# a weight on a cosine, distance, bias or product feature: missing, finite or not
+any_weight = st.none() | st.sampled_from([math.inf, -math.inf, math.nan]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def block_leaf(draw):
+    """A query and one to four keys on its index set of 0 to 16 features.
+    The query, or a key, may hold only tiny values, so that its norm
+    underflows to 0.0 and so does a key's cosine."""
+    n = draw(st.integers(0, 16))
+    indices = tuple(sorted(draw(st.sets(st.integers(0, 19), min_size=n, max_size=n))))
+
+    def vector(idx):
+        strategy = st.sampled_from(TINY) if draw(st.integers(0, 3)) == 0 else leaf_value
+        return SparseVector.trusted(idx, tuple(draw(st.lists(strategy, min_size=n, max_size=n))))
+
+    x = vector(indices)
+    keys = [vector(draw(st.sampled_from([indices, tuple(list(indices))])))
+            for _ in range(draw(st.integers(1, 4)))]
+    return x, keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_leaf(), any_weight, any_weight, any_weight,
+       st.lists(st.none() | st.floats(-1.0, 1.0), min_size=16, max_size=16),
+       st.integers(0, 15), any_weight)
+def test_the_block_pass_equals_the_per_pair_definitions_bit_for_bit(leaf, w_cos, w_dist, w_bias,
+                                                                     w_prod, j, w_j):
+    # at most one product weight is not finite: more would make most scores
+    # NaN, which hides what the head weights do
+    x, keys = leaf
+    w_prod[j] = w_j
+    f = ScorerModel()
+    f.set_entries([(i, w, 0.0) for i, w in [(PAIR_COSINE, w_cos), (PAIR_DISTANCE, w_dist),
+                                            (PAIR_BIAS, w_bias)]
+                   + [(i + PAIR_PRODUCT_OFFSET, w) for i, w in zip(x.indices, w_prod)]
+                   if w is not None])
+    expected = [max(0.0, min(1.0, f.raw(pair_features(x, k)))) for k in keys]
+    cache = Leaf()
+    assert bits(f.predict(x, keys)) == bits(expected)
+    assert bits(f.predict(x, keys, cache)) == bits(expected)  # builds the block
+    assert bits(f.predict(x, keys, cache)) == bits(expected)  # reads it back
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 12), st.integers(1, 3), st.data())
+def test_column_sums_add_each_block_row_after_row(stack, rows, columns, data):
+    import numpy as np
+
+    # big values beside small ones, so that another order of adding shows;
+    # no -0.0, so the sign of a zero sum is that of the loop's
+    term = arbitrary | st.sampled_from([1e16, -1e16, 3.0])
+    blocks = np.array(data.draw(st.lists(term, min_size=stack * rows * columns,
+                                         max_size=stack * rows * columns)),
+                      dtype=float).reshape(stack, rows, columns)
+
+    def in_order(column):
+        total = 0.0
+        for v in column:
+            total += v
+        return total
+
+    expected = [[in_order(blocks[s, :, c].tolist()) for c in range(columns)]
+                for s in range(stack)]
+    assert [bits(row) for row in _column_sums(blocks).tolist()] == [bits(r) for r in expected]
+    assert bits(_column_sums(blocks[0]).tolist()) == bits(expected[0])
+
+
+def test_a_leafs_kept_block_and_norms_refuse_writes():
+    import numpy as np
+
+    x = sv({0: 1.0, 3: -2.0, 5: 0.5})
+    keys = [sv({0: 0.5, 3: 1.0, 5: 2.0}), sv({0: -1.0, 3: 0.25, 5: 1.5}), x]
+    for mode in (SCORER_LEARNED, SCORER_EUCLIDEAN):
+        f, leaf = ScorerModel(mode), Leaf()
+        scores = f.predict(x, keys, leaf)
+        _, _, block, norms = leaf.block
+        arrays = [block] if mode == SCORER_EUCLIDEAN else [block, norms]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+            with pytest.raises(ValueError):
+                np.multiply(array, 2.0, out=array)
+        assert f.predict(x, keys, leaf) == scores
 
 
 def test_mixed_support_leaf_takes_the_per_key_path():
